@@ -693,6 +693,43 @@ func BenchmarkTraceCodecXTRP2(b *testing.B) {
 	b.ReportMetric(ratio, "x-smaller")
 }
 
+// BenchmarkTraceCodecEncode times XTRP2 encoding alone — delta rows,
+// pattern mining and the wire write — on the suite traces that are the
+// costliest to mine: sparse at 32 threads and mgrid at size 64 with 16
+// threads, the worst point of its ladder. Both run at the kernels'
+// default sizes. SetBytes uses the raw-record figure, as
+// in the round-trip codec benchmarks.
+func BenchmarkTraceCodecEncode(b *testing.B) {
+	for _, k := range []struct {
+		name    string
+		kernel  string
+		threads int
+	}{
+		{"sparse32", "sparse", 32},
+		{"mgrid64", "mgrid", 16},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			bm, err := benchmarks.ByName(k.kernel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := core.Measure(bm.Factory(bm.DefaultSize())(k.threads), core.MeasureOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := trace.WriteBinary2(&buf, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(37 * len(tr.Events)))
+		})
+	}
+}
+
 // BenchmarkPatternReplay compares event-by-event replay against
 // pattern-native replay with steady-state fast-forward on compiled
 // (XTRP2) traces of the paper kernels. Loop-heavy kernels (mgrid, grid)

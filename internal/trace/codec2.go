@@ -343,6 +343,12 @@ type progOp struct {
 	start, end int    // literal: row range
 	id         uint32 // repeat: pattern-table index
 	count      uint64 // repeat: total replays (≥ 2)
+	// inert marks a literal op that is a whole scanned range in which no
+	// run was accepted; best is then the largest savings any candidate
+	// verified in it offered, so a rung whose bar exceeds best would
+	// accept nothing there either.
+	inert bool
+	best  int
 }
 
 // minePatterns scans the delta rows for periodic runs and returns the
@@ -367,13 +373,59 @@ type progOp struct {
 // pass used to find. A run can still shadow a larger one within a rung's
 // ~8× band, but never across bands. Long runs also matter beyond size:
 // they are what the simulator's steady-state fast-forward can skip.
+//
+// Mining is near-linear in rows: no candidate is verified again once
+// its outcome is known, and no row comparison is repeated for one whose
+// outcome follows from a comparison already made. The three shortcuts
+// are exact — the table and program are those of a miner that verifies
+// every candidate from scratch:
+//
+//   - Per-period memo (in scan). Verifying period p from anchor a walks
+//     back to the first start s with rows[k] == rows[k+p] on [s, a),
+//     stopping at the pending literal start or a mismatch, then forward
+//     to the first f ≥ a where rows[f] != rows[f+p] (or the range ends).
+//     The run count is a function of s and f alone. A later anchor in
+//     [s, f] for the same p therefore walks back to the same s, counts
+//     the same run and is rejected the same way, as long as nothing was
+//     accepted in between (an acceptance moves the literal start, and
+//     the table is only ever grown by an acceptance). So the memo keeps
+//     [s, f] per period — including the matched prefix of the block that
+//     failed, which is where near-periodic runs spend their comparisons
+//     — and skips such anchors without touching a row.
+//   - Divisor seeding (in scan). The first-occurrence candidate of a
+//     window often has a period p that is a multiple of the
+//     nearest-occurrence period d (every window of a long period-d run
+//     proposes one), and a new p each time, so the memo cannot catch
+//     it. But rows[k] == rows[k+d] on a memoized [s, f) implies
+//     rows[k] == rows[k+p] on [s, f-(p-d)), so when the anchor lies in
+//     that stretch both walks start from its ends instead of the anchor;
+//     the rows they then compare decide s and f exactly as before.
+//   - Rung skip (here). A scan that accepts nothing sees the same
+//     candidates in the same order at every bar — its inputs are the
+//     rows of its range and nothing else — so if even the best of them
+//     saved fewer rows than a lower rung's bar, that rung would accept
+//     nothing too and passes the range through unscanned.
 func minePatterns(rows []row) ([][]row, []progOp) {
-	m := miner{byHash: make(map[uint64][]uint32)}
+	m := newMiner(len(rows))
+	return m.mine(rows)
+}
+
+// newMiner returns a miner with an empty table, sized for n rows.
+func newMiner(n int) *miner {
+	return &miner{
+		byHash: make(map[uint64][]uint32),
+		seen:   make(map[uint64]occ),
+		runs:   make([]periodRun, min(MaxPatternRows, n)+1),
+	}
+}
+
+// mine runs the ladder over rows (see minePatterns).
+func (m *miner) mine(rows []row) ([][]row, []progOp) {
 	ops := []progOp{{literal: true, start: 0, end: len(rows)}}
 	for _, minSavings := range minerLadder {
 		var next []progOp
 		for _, op := range ops {
-			if !op.literal || op.end-op.start <= minSavings {
+			if !op.literal || op.end-op.start <= minSavings || op.inert && op.best < minSavings {
 				next = append(next, op)
 				continue
 			}
@@ -392,13 +444,35 @@ func minePatterns(rows []row) ([][]row, []progOp) {
 	return m.patterns, out
 }
 
-// miner carries the pattern table shared by both mining passes.
+// miner carries the pattern table shared by every mining pass, plus
+// the scan working state, which lives here so each scan reuses it.
 type miner struct {
 	patterns  [][]row
 	tableRows int
 	// byHash dedups pattern bodies (values are candidate ids to
 	// compare against, so collisions stay correct).
 	byHash map[uint64][]uint32
+
+	// seen maps a window hash to its occurrences in the current scan.
+	seen map[uint64]occ
+	// runs is the per-period memo, indexed by period: the last run
+	// verified for that period, valid while its epoch is current. The
+	// epoch advances at every scan and every acceptance, which is what
+	// invalidates all entries at once.
+	runs  []periodRun
+	epoch uint64
+}
+
+// occ records the indices just past the first and most recent
+// occurrences of a window hash.
+type occ struct{ first, last int }
+
+// periodRun is a verified period-p stretch: rows[k] == rows[k+p] for
+// every k in [start, end), start could not be walked back further, and
+// no run starting there was accepted.
+type periodRun struct {
+	epoch      uint64
+	start, end int
 }
 
 func (m *miner) intern(body []row) (uint32, bool) {
@@ -420,7 +494,8 @@ func (m *miner) intern(body []row) (uint32, bool) {
 
 // scan mines rows[lo:hi) for periodic runs saving at least minSavings
 // rows each, returning ops (repeats and literal gaps) covering the range
-// exactly.
+// exactly. A scan that accepts nothing returns the whole range as one
+// inert literal carrying the best savings it saw.
 func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 	var ops []progOp
 	flushLiteral := func(start, end int) {
@@ -429,17 +504,17 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 		}
 	}
 
-	// seen maps a window hash to the indices just past its first and
-	// most recent occurrences. The nearest occurrence proposes the
-	// shortest candidate period, but inside a loop body that itself
-	// contains small repetitions every window also matches at the small
-	// distance, and the loop period would never be proposed at all — the
-	// first occurrence breaks that masking: the first time a
-	// once-per-iteration window reoccurs, its distance to the first
-	// occurrence is exactly one whole loop period.
-	type occ struct{ first, last int }
-	seen := make(map[uint64]occ, (hi-lo)/4+1)
+	// seen holds, per window hash, the first and most recent occurrence.
+	// The nearest occurrence proposes the shortest candidate period, but
+	// inside a loop body that itself contains small repetitions every
+	// window also matches at the small distance, and the loop period
+	// would never be proposed at all — the first occurrence breaks that
+	// masking: the first time a once-per-iteration window reoccurs, its
+	// distance to the first occurrence is exactly one whole loop period.
+	clear(m.seen)
+	m.epoch++
 	lit := lo // start of the pending literal run
+	best := 0 // largest savings of any verified candidate
 	var wh uint64
 	wlen := 0 // rows currently in the rolling window
 	const whBase = 0x100000001b3
@@ -461,12 +536,12 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 			continue
 		}
 		end := i + 1 // window covers rows[end-minerWindow : end]
-		o, ok := seen[wh]
+		o, ok := m.seen[wh]
 		if !ok {
-			seen[wh] = occ{first: end, last: end}
+			m.seen[wh] = occ{first: end, last: end}
 			continue
 		}
-		seen[wh] = occ{first: o.first, last: end}
+		m.seen[wh] = occ{first: o.first, last: end}
 		for _, j := range [2]int{o.last, o.first} {
 			if j >= end {
 				continue
@@ -475,22 +550,36 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 			if p > MaxPatternRows || end-p < lit {
 				continue
 			}
-			// Candidate period p. Anchor the body at end-p and extend it
-			// backward while the periodicity holds, so the first iteration
-			// of a loop is captured instead of left literal.
-			start := end - p
-			for start > lit && rows[start-1] == rows[start-1+p] {
-				start--
-			}
-			body := rows[start : start+p]
-			count := uint64(1)
-			for next := start + int(count)*p; next+p <= hi && rowsEqual(rows[next:next+p], body); next += p {
-				count++
-			}
-			if count < 2 || int(count-1)*p < minSavings {
+			// Candidate period p, anchored at end-p. A memo hit is a
+			// candidate already verified and rejected (see minePatterns).
+			anchor := end - p
+			run := &m.runs[p]
+			if run.epoch == m.epoch && run.start <= anchor && anchor <= run.end {
+				if minerSelfCheck {
+					checkPeriodRun(rows, lit, hi, anchor, p, run.start, run.end)
+				}
 				continue
 			}
-			id, ok := m.intern(body)
+			// Rows a verified stretch of a dividing period already vouches
+			// for need no comparison (see minePatterns).
+			start, stop := anchor, anchor
+			if d := end - o.last; d < p && p%d == 0 {
+				if r := m.runs[d]; r.epoch == m.epoch && r.start <= anchor && anchor <= r.end-(p-d) {
+					start, stop = r.start, r.end-(p-d)
+				}
+			}
+			start, stop = extendPeriodRun(rows, lit, hi, p, start, stop)
+			if minerSelfCheck {
+				checkPeriodRun(rows, lit, hi, anchor, p, start, stop)
+			}
+			*run = periodRun{epoch: m.epoch, start: start, end: stop}
+			count := uint64(1 + (stop-start)/p)
+			savings := int(count-1) * p
+			best = max(best, savings)
+			if count < 2 || savings < minSavings {
+				continue
+			}
+			id, ok := m.intern(rows[start : start+p])
 			if !ok {
 				// Table full: leave the run literal and keep scanning.
 				continue
@@ -499,6 +588,7 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 			ops = append(ops, progOp{id: id, count: count})
 			consumed := start + int(count)*p
 			lit = consumed
+			m.epoch++
 			// Restart the window past the consumed run; stale map entries
 			// are harmless (candidates are verified by comparison).
 			if consumed > i+1 {
@@ -508,8 +598,36 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 			break
 		}
 	}
+	if lit == lo {
+		return []progOp{{literal: true, start: lo, end: hi, inert: true, best: best}}
+	}
 	flushLiteral(lit, hi)
 	return ops
+}
+
+// extendPeriodRun extends [start, stop) while the period-p relation
+// rows[k] == rows[k+p] holds: backward, so the first iteration of a
+// loop is captured instead of left literal, but not below lit; forward
+// to the first row that breaks it, but with no row past hi compared.
+func extendPeriodRun(rows []row, lit, hi, p, start, stop int) (int, int) {
+	for start > lit && rows[start-1] == rows[start-1+p] {
+		start--
+	}
+	for stop+p < hi && rows[stop] == rows[stop+p] {
+		stop++
+	}
+	return start, stop
+}
+
+// minerSelfCheck makes scan re-derive, by comparing rows from the
+// anchor, every period stretch it took from the memo or seeded from a
+// divisor, and panic if a shortcut got it wrong. Tests turn it on.
+var minerSelfCheck bool
+
+func checkPeriodRun(rows []row, lit, hi, anchor, p, start, stop int) {
+	if s, e := extendPeriodRun(rows, lit, hi, p, anchor, anchor); s != start || e != stop {
+		panic(fmt.Sprintf("trace: miner shortcut gave period %d run [%d,%d) at anchor %d, rows give [%d,%d)", p, start, stop, anchor, s, e))
+	}
 }
 
 // hashRow mixes one row into a single word (FNV-style multiply/xor).
@@ -546,7 +664,11 @@ func rowsEqual(a, b []row) bool {
 // WriteBinary2 encodes the trace to w in the XTRP2 format: the events
 // are rewritten as delta rows, mined for repeated blocks, and emitted
 // as a pattern table plus a program of literal runs and repeats.
-func WriteBinary2(w io.Writer, t *Trace) error {
+func WriteBinary2(w io.Writer, t *Trace) error { return writeBinary2(w, t, minePatterns) }
+
+// writeBinary2 is WriteBinary2 with the pattern miner as a parameter,
+// so tests can encode with a reference miner and compare bytes.
+func writeBinary2(w io.Writer, t *Trace, mine func([]row) ([][]row, []progOp)) error {
 	hdr := t.Header()
 	if hdr.NumThreads < 0 || hdr.NumThreads > MaxThreads {
 		return fmt.Errorf("trace: thread count %d out of range [0,%d]", hdr.NumThreads, MaxThreads)
@@ -570,7 +692,7 @@ func WriteBinary2(w io.Writer, t *Trace) error {
 	for i := range t.Events {
 		rows[i] = st.rowOf(&t.Events[i])
 	}
-	patterns, ops := minePatterns(rows)
+	patterns, ops := mine(rows)
 
 	// Pass 2: write.
 	bw := bufio.NewWriter(w)

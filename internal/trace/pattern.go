@@ -511,10 +511,8 @@ func (d *ReplayDeltas) class(cls uint8) *int64 {
 func MaxShiftChunks(curr *ReplayFingerprint, d *ReplayDeltas) uint64 {
 	const ceiling = int64(1) << 62
 	limit := uint64(MaxEvents)
-	for cls, stride := range map[uint8]int64{
-		FPSim: d.Sim, FPTrans: d.Trans, FPOrig: d.Orig, FPBarID: d.Bar,
-		FPBarT: d.BarT, FPBarS: d.BarS,
-	} {
+	for _, cls := range [...]uint8{FPSim, FPTrans, FPOrig, FPBarID, FPBarT, FPBarS} {
+		stride := *d.class(cls)
 		if stride <= 0 {
 			continue
 		}
