@@ -307,15 +307,19 @@ func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 // advances 8 machine models per pass. Results are byte-identical at
 // any batch size (covered by the determinism tests); the committed
 // baseline pins batch8 at ≥ 3× sequential cells/sec with fewer
-// allocs per cell.
+// allocs per cell. The xtrp2-pattern arm is the per-cell path on the
+// configuration `extrap serve` runs by default — XTRP2 cached traces
+// under pattern replay, where the 24 cells share one compiled trace.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		batch int
-	}{{"sequential", 1}, {"batch8", 8}} {
+		name   string
+		batch  int
+		format trace.Format // 0 keeps the streaming service's XTRP1
+	}{{"sequential", 1, 0}, {"batch8", 8, 0}, {"xtrp2-pattern", 1, trace.FormatXTRP2}} {
 		b.Run(bc.name, func(b *testing.B) {
 			svc := experiments.NewStreamingService(1, 64, 0)
 			svc.SetBatchSize(bc.batch)
+			svc.SetTraceFormat(bc.format)
 			jobs := sweepBatchGrid(b)
 			ctx := context.Background()
 			if _, err := svc.SweepGrid(ctx, jobs); err != nil {

@@ -264,9 +264,10 @@ var executeShard = ExecuteShard
 // shared measurement is taken (or found in cache/store) once, then
 // every machine's model is simulated over it — through the batch kernel
 // in BatchSize chunks when the service has batching enabled, per-cell
-// otherwise. Both paths are byte-identical to the solo sweep's cells
-// for the same parameters: they call the same Predict/PredictBatch the
-// solo grid runner and jobs queue use, and the returned TotalNs values
+// (sharing one compile of the trace) otherwise. Both paths are
+// byte-identical to the solo sweep's cells for the same parameters:
+// they call the same PredictEach/PredictBatch whose cells match the
+// solo grid runner's and jobs queue's, and the returned TotalNs values
 // are exact integers. Exported because the coordinator runs exactly
 // this as its local-fallback path — one executor, two call sites.
 func ExecuteShard(ctx context.Context, svc *experiments.Service, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]CellResult, error) {
@@ -275,13 +276,17 @@ func ExecuteShard(ctx context.Context, svc *experiments.Service, b benchmarks.Be
 	if batch < 1 {
 		batch = 1
 	}
+	cfgs := make([]sim.Config, len(envs))
+	for i, env := range envs {
+		cfgs[i] = env.Config
+	}
 	if batch == 1 || len(envs) == 1 {
+		preds, err := svc.PredictEach(ctx, b, sz, threads, pcxx.ActualSize, cfgs)
+		if err != nil {
+			return nil, err
+		}
 		for i, env := range envs {
-			pred, err := svc.Predict(ctx, b, sz, threads, pcxx.ActualSize, env.Config)
-			if err != nil {
-				return nil, err
-			}
-			cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(pred.Result.TotalTime)}
+			cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(preds[i].Result.TotalTime)}
 		}
 		return cells, nil
 	}
@@ -290,11 +295,7 @@ func ExecuteShard(ctx context.Context, svc *experiments.Service, b benchmarks.Be
 		if hi > len(envs) {
 			hi = len(envs)
 		}
-		cfgs := make([]sim.Config, hi-lo)
-		for i, env := range envs[lo:hi] {
-			cfgs[i] = env.Config
-		}
-		preds, err := svc.PredictBatch(ctx, b, sz, threads, pcxx.ActualSize, cfgs)
+		preds, err := svc.PredictBatch(ctx, b, sz, threads, pcxx.ActualSize, cfgs[lo:hi])
 		if err != nil {
 			return nil, err
 		}

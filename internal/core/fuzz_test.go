@@ -59,12 +59,18 @@ func fuzzProgram(data []byte) (*trace.Trace, error) {
 // pattern-native path (compiled pattern programs + steady-state
 // fast-forward) must produce a prediction byte-identical to flat
 // event-by-event replay — same totals, same per-thread breakdowns, same
-// network statistics.
+// network statistics. Pattern replay runs twice, with fast-forward's
+// shiftable-body check on and off, and the two must also agree on the
+// number of fast-forwards and iterations skipped: the check may only
+// skip snapshots that could never have matched.
 func FuzzPatternReplayEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 12, 2, 0, 0, 9, 17, 4, 1})
 	f.Add([]byte{7, 23, 4, 3, 1, 200, 100, 50, 25, 12, 6, 3})
 	f.Add(bytes.Repeat([]byte{5, 16, 1, 0, 0, 30}, 8))
+	// Fast-forwards, so the seed corpus alone exercises the skip-check
+	// counter comparison.
+	f.Add([]byte("1G1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := fuzzProgram(data)
 		if err != nil {
@@ -81,13 +87,27 @@ func FuzzPatternReplayEquivalence(f *testing.F) {
 			t.Fatalf("event replay: %v", err)
 		}
 		cfg.Replay = sim.ReplayPattern
-		got, err := ExtrapolateEncoded(context.Background(), buf.Bytes(), cfg)
-		if err != nil {
-			t.Fatalf("pattern replay: %v", err)
+		defer sim.SetSkipGate(sim.SetSkipGate(true))
+		var ffwd [2]sim.ReplayCounters
+		for i, gate := range []bool{true, false} {
+			sim.SetSkipGate(gate)
+			before := sim.ReadReplayCounters()
+			got, err := ExtrapolateEncoded(context.Background(), buf.Bytes(), cfg)
+			if err != nil {
+				t.Fatalf("pattern replay (skip check %v): %v", gate, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pattern replay (skip check %v) diverged from event replay:\n  pattern: %+v\n  event:   %+v",
+					gate, got.Result, want.Result)
+			}
+			after := sim.ReadReplayCounters()
+			ffwd[i] = sim.ReplayCounters{
+				FastForwards:      after.FastForwards - before.FastForwards,
+				IterationsSkipped: after.IterationsSkipped - before.IterationsSkipped,
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pattern replay diverged from event replay:\n  pattern: %+v\n  event:   %+v",
-				got.Result, want.Result)
+		if ffwd[0] != ffwd[1] {
+			t.Fatalf("skip check changed fast-forward: on %+v, off %+v", ffwd[0], ffwd[1])
 		}
 	})
 }

@@ -174,7 +174,7 @@ func runGridBatched(ctx context.Context, cache *core.TraceCache, workers int, bo
 			if bo.stats != nil {
 				bo.stats.FallbackSequential.Add(1)
 			}
-			return runCellSequential(ctx, cache, jobs, cells, points, unit.cells[0])
+			return runCellSequential(ctx, cache, jobs, cells, points, unit.cells[0], nil)
 		}
 
 		pt, err := g.materialize(cache, measure)

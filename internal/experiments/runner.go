@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
@@ -173,11 +175,16 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchO
 	if bo.size > 1 {
 		err = runGridBatched(ctx, cache, workers, bo, jobs, cells, points)
 	} else {
+		shares := shareCompiles(cache, jobs, cells)
 		err = pool.Run(workers, len(cells), func(c int) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			return runCellSequential(ctx, cache, jobs, cells, points, c)
+			var sc *sharedCompile
+			if shares != nil {
+				sc = shares[c]
+			}
+			return runCellSequential(ctx, cache, jobs, cells, points, c, sc)
 		})
 	}
 	if err != nil {
@@ -186,13 +193,79 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchO
 	return points, nil
 }
 
+// shareCompiles gives the cells of a per-cell grid on an XTRP2 cache
+// one sharedCompile per measurement, indexed by flat cell: cells that
+// replay the same trace under different configs compile it once. It
+// returns nil when the cache holds no XTRP2 bytes to compile.
+func shareCompiles(cache *core.TraceCache, jobs []SweepJob, cells []gridCell) []*sharedCompile {
+	if !compilesXTRP2(cache) {
+		return nil
+	}
+	out := make([]*sharedCompile, len(cells))
+	byKey := make(map[core.CacheKey]*sharedCompile)
+	for i, c := range cells {
+		job := &jobs[c.job]
+		key := cacheKey(job.Name, job.Size, job.Procs[c.pt], core.MeasureOptions{SizeMode: job.Mode})
+		sc := byKey[key]
+		if sc == nil {
+			sc = &sharedCompile{}
+			byKey[key] = sc
+		}
+		sc.left.Add(1)
+		out[i] = sc
+	}
+	return out
+}
+
+// compilesXTRP2 reports whether cache holds XTRP2 bytes, the format
+// pattern replay compiles.
+func compilesXTRP2(cache *core.TraceCache) bool {
+	return cache.Streams() && cache.Format() == trace.FormatXTRP2
+}
+
+// sharedCompile is one measurement's compiled trace, shared by the
+// grid cells that replay it (trace.CompiledTrace is immutable and every
+// replay takes its own cursor). The first pattern-replay cell compiles
+// the bytes it looked up; cells always look their bytes up themselves,
+// so cache statistics and recency are those of unshared cells. The
+// trace is dropped when the last cell finishes: a compiled trace is
+// several times its encoded size and never outlives its cells.
+type sharedCompile struct {
+	once sync.Once
+	ct   *trace.CompiledTrace
+	err  error
+	left atomic.Int64 // cells not yet finished
+}
+
+// extrapolate replays enc under cfg, compiling on first use. A nil
+// receiver compiles privately, as core.ExtrapolateEncoded does.
+func (sc *sharedCompile) extrapolate(ctx context.Context, enc []byte, cfg sim.Config) (*core.Prediction, error) {
+	if sc == nil {
+		return core.ExtrapolateEncoded(ctx, enc, cfg)
+	}
+	defer func() {
+		if sc.left.Add(-1) == 0 {
+			sc.ct = nil
+		}
+	}()
+	if cfg.Replay != sim.ReplayPattern {
+		return core.ExtrapolateCompiled(ctx, enc, nil, cfg)
+	}
+	sc.once.Do(func() { sc.ct, sc.err = core.CompileEncoded(enc) })
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	return core.ExtrapolateCompiled(ctx, enc, sc.ct, cfg)
+}
+
 // runCellSequential executes one grid cell on the per-cell path:
-// streaming pipeline on an encoded cache, pooled-arena simulation of
-// the shared translated trace otherwise.
-func runCellSequential(ctx context.Context, cache *core.TraceCache, jobs []SweepJob, cells []gridCell, points [][]metrics.Point, c int) error {
+// streaming pipeline on an encoded cache (compiling through sc, which
+// may be nil), pooled-arena simulation of the shared translated trace
+// otherwise.
+func runCellSequential(ctx context.Context, cache *core.TraceCache, jobs []SweepJob, cells []gridCell, points [][]metrics.Point, c int, sc *sharedCompile) error {
 	job := &jobs[cells[c].job]
 	n := job.Procs[cells[c].pt]
-	total, err := cellTime(ctx, cache, job, n)
+	total, err := cellTime(ctx, cache, job, n, sc)
 	if err != nil {
 		return err
 	}
@@ -202,7 +275,7 @@ func runCellSequential(ctx context.Context, cache *core.TraceCache, jobs []Sweep
 
 // cellTime measures (through the memo cache) and simulates one cell,
 // returning its exact predicted total.
-func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int) (vtime.Time, error) {
+func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int, sc *sharedCompile) (vtime.Time, error) {
 	mopts := core.MeasureOptions{SizeMode: job.Mode}
 	key := cacheKey(job.Name, job.Size, n, mopts)
 	measure := func() (*trace.Trace, error) {
@@ -213,7 +286,7 @@ func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int)
 		if err != nil {
 			return 0, err
 		}
-		pred, err := core.ExtrapolateEncoded(ctx, enc, job.Cfg)
+		pred, err := sc.extrapolate(ctx, enc, job.Cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -245,7 +318,7 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 		}
 		job := &jobs[j]
 		sim := func(ctx context.Context, n int) ([]vtime.Time, error) {
-			t, err := cellTime(ctx, cache, job, n)
+			t, err := cellTime(ctx, cache, job, n, nil)
 			if err != nil {
 				return nil, err
 			}

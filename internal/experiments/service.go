@@ -156,6 +156,12 @@ func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benc
 			Result:     out.Result,
 		}, nil
 	}
+	return s.predictEncoded(ctx, b, size, threads, mode, cfg, nil)
+}
+
+// predictEncoded is Predict's streaming path, compiling through sc
+// (nil compiles privately).
+func (s *Service) predictEncoded(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config, sc *sharedCompile) (*core.Prediction, error) {
 	if threads <= 0 {
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
@@ -167,7 +173,32 @@ func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benc
 	if err != nil {
 		return nil, err
 	}
-	return core.ExtrapolateEncoded(ctx, enc, cfg)
+	return sc.extrapolate(ctx, enc, cfg)
+}
+
+// PredictEach answers one prediction per config against a single
+// shared measurement on the per-cell path, in config order. Each
+// prediction is Predict's for that config, byte for byte; on an XTRP2
+// cache the configs share one compile of the trace.
+func (s *Service) PredictEach(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfgs []sim.Config) ([]*core.Prediction, error) {
+	var sc *sharedCompile
+	if compilesXTRP2(s.cache) {
+		sc = &sharedCompile{}
+		sc.left.Store(int64(len(cfgs)))
+	}
+	out := make([]*core.Prediction, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if sc != nil {
+			out[i], err = s.predictEncoded(ctx, b, size, threads, mode, cfg, sc)
+		} else {
+			out[i], err = s.Predict(ctx, b, size, threads, mode, cfg)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // PredictBatch answers one prediction per config against a single

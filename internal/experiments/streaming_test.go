@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"extrap/internal/core"
 	"extrap/internal/pcxx"
+	"extrap/internal/trace"
 )
 
 // TestStreamingServiceMatchesInMemory: the encoded-cache Service must
@@ -121,5 +123,82 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 	job := SweepJob{Name: b.Name(), Size: size, Factory: b.Factory(size), Mode: pcxx.ActualSize, Cfg: freeCfg(), Procs: []int{2}}
 	if _, err := str.Sweep(ctx, job); !errors.Is(err, core.ErrTraceTooLarge) {
 		t.Errorf("Sweep err = %v, want ErrTraceTooLarge", err)
+	}
+}
+
+// TestSharedCompileMatchesPrivate: on an XTRP2 cache under pattern
+// replay, cells that share one compiled trace must predict exactly what
+// a private compile per cell predicts — per-cell sweeps at several
+// worker counts against the in-memory grid, and PredictEach against
+// Predict — while every cell still looks its bytes up in the cache.
+// Run under -race this also covers concurrent cursors on one compile.
+func TestSharedCompileMatchesPrivate(t *testing.T) {
+	cfgs := machineGrid(4)
+	jobs := gridJobs(t, "cyclic", cfgs, []int{1, 2, 4, 8})
+	want, err := NewService(1, 0).SweepGrid(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		svc := NewStreamingService(workers, 0, 0)
+		svc.SetTraceFormat(trace.FormatXTRP2)
+		got, err := svc.SweepGrid(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: shared-compile grid differs:\n got %v\nwant %v", workers, got, want)
+		}
+		hits, misses := svc.CacheStats()
+		if cells := int64(len(cfgs) * 4); hits+misses != cells {
+			t.Errorf("workers=%d: %d cache lookups for %d cells", workers, hits+misses, cells)
+		}
+	}
+
+	b := mustBench(t, "cyclic")
+	sz := quickSize(b)
+	svc := NewStreamingService(1, 0, 0)
+	svc.SetTraceFormat(trace.FormatXTRP2)
+	each, err := svc.PredictEach(context.Background(), b, sz, 4, pcxx.ActualSize, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		p, err := svc.Predict(context.Background(), b, sz, 4, pcxx.ActualSize, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(each[i], p) {
+			t.Errorf("config %d: PredictEach %+v, Predict %+v", i, each[i].Result, p.Result)
+		}
+	}
+}
+
+// TestSharedCompileDropsTrace: the compiled trace lives only until the
+// last of its cells finishes.
+func TestSharedCompileDropsTrace(t *testing.T) {
+	b := mustBench(t, "cyclic")
+	tr, err := core.Measure(b.Factory(quickSize(b))(4), core.MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	cfgs := machineGrid(3)
+	sc := &sharedCompile{}
+	sc.left.Store(int64(len(cfgs)))
+	var first *trace.CompiledTrace
+	for i, cfg := range cfgs {
+		if _, err := sc.extrapolate(context.Background(), buf.Bytes(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sc.ct
+		}
+		if last := i == len(cfgs)-1; (sc.ct == nil) != last || (!last && sc.ct != first) {
+			t.Fatalf("after cell %d of %d: compiled trace %p (first %p)", i+1, len(cfgs), sc.ct, first)
+		}
 	}
 }

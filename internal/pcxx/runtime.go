@@ -249,11 +249,10 @@ func (t *Thread) Barrier() {
 		t.th.Park()
 	} else {
 		rt.arrived = 0
-		ws := rt.waiting
-		rt.waiting = nil
-		for _, w := range ws {
+		for _, w := range rt.waiting {
 			w.Unpark()
 		}
+		rt.waiting = rt.waiting[:0]
 	}
 	rt.record(trace.Event{Kind: trace.KindBarrierExit, Thread: int32(t.id), Arg0: seq})
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -26,6 +27,21 @@ import (
 // non-uniform stride — means the loop is not (yet) steady and replay
 // simply continues event by event, so predictions are byte-identical to
 // ReplayEvent by construction.
+//
+// Taking and comparing snapshots costs O(state) per probe, so it is
+// paid only where a skip can succeed. Before any snapshot, observe
+// asks the cursor whether the active repeat body is shiftable: the
+// decoder's thread register and every arg context except the
+// barrier-id arg0 are FPExact slots, and between two snapshots of one
+// op at the same body position each of them has moved by m × its
+// per-iteration body sum. A body whose thread or exact-class arg sum is
+// non-zero — every loop that walks across threads, or whose transfer
+// size drifts — therefore fails DiffFingerprints at every spacing m,
+// and skipping its snapshots loses no fast-forward (see
+// trace.PatternSource.Shiftable). The check sits after the per-op
+// bookkeeping, so shiftable ops see exactly the snapshots they would
+// without it, and fast-forward counts and skipped iterations are
+// unchanged.
 //
 // The fingerprint/shift traversals here mirror each other slot for
 // slot, as do their counterparts in internal/translate and the decoder
@@ -72,6 +88,22 @@ const (
 	// the clamp keeps the arithmetic far from overflow.
 	ffMaxSkipSteps = 1 << 30
 )
+
+// ffGateOff disables the shiftable-body check in observe, so tests can
+// show that the check never costs a fast-forward.
+var ffGateOff bool
+
+// SetSkipGate turns fast-forward's shiftable-body check on or off and
+// returns the previous setting. It is a test hook for packages that
+// replay real traces (core's fuzz target, the root replay tests): they
+// run each replay with the check on and off and require identical
+// predictions and fast-forward counters. Production code never calls
+// it, and it must not be called while a simulation runs.
+func SetSkipGate(on bool) (was bool) {
+	was = !ffGateOff
+	ffGateOff = !on
+	return was
+}
 
 // Fast-forward telemetry, process-wide (mirrors the codec's compression
 // counters; surfaced on /debug/vars by the serving layer).
@@ -164,6 +196,9 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 		ff.haveSnap = false
 		ff.fails = 0
 		ff.abandoned = false
+	}
+	if !ffGateOff && !ff.cur.Shiftable() {
+		return steps, nil
 	}
 	if ff.abandoned || repLeft < ffMinRepLeft {
 		return steps, nil
@@ -626,10 +661,11 @@ func (e *engine) applyReplayShift(j int64, d *trace.ReplayDeltas) {
 }
 
 // shiftBars slides the barrier tail window: the dense-by-id slice grows
-// by j×Δbar zeroed records and the tracked records relocate to their
-// new ids (carrying their tree tables with them). Records falling below
-// the window are zeroed — provably never read again (see ffBarWindow),
-// so event replay's frozen values and these zeros are interchangeable.
+// in one step by j×Δbar zeroed records and the tracked records relocate
+// to their new ids (carrying their tree tables with them). Records
+// falling below the window are zeroed — provably never read again (see
+// ffBarWindow), so event replay's frozen values and these zeros are
+// interchangeable.
 func (e *engine) shiftBars(j int64, d *trace.ReplayDeltas) {
 	grow := j * d.Bar
 	nb := len(e.bars)
@@ -643,9 +679,8 @@ func (e *engine) shiftBars(j int64, d *trace.ReplayDeltas) {
 		for id := nb - w; id < nb; id++ {
 			e.bars[id] = barSt{}
 		}
-		for k := int64(0); k < grow; k++ {
-			e.bars = append(e.bars, barSt{})
-		}
+		e.bars = slices.Grow(e.bars, int(grow))[:nb+int(grow)]
+		clear(e.bars[nb:])
 		base := len(e.bars) - w
 		for k := 0; k < w; k++ {
 			shiftBarSt(&win[k], j, d)

@@ -13,7 +13,10 @@
 // The implementation maps each user thread onto a goroutine but enforces
 // mutual exclusion with a baton: exactly one goroutine (a thread or the
 // scheduler) runs at any instant, and hand-offs are explicit channel
-// sends. The result is deterministic regardless of GOMAXPROCS.
+// sends. A thread that gives up the processor passes the baton straight
+// to the next ready thread; only completion, deadlock and failure hand
+// it back to the scheduler. The result is deterministic regardless of
+// GOMAXPROCS.
 package threads
 
 import (
@@ -94,11 +97,12 @@ func (t *Thread) Unpark() {
 	t.sched.ready = append(t.sched.ready, t)
 }
 
-// switchToScheduler hands the baton back and blocks until the scheduler
-// resumes this thread. A resume during scheduler abort unwinds the
+// switchToScheduler passes the baton on and blocks until this thread is
+// resumed (at once, through its buffered resume channel, when it is
+// itself next in line). A resume during scheduler abort unwinds the
 // thread's stack instead of returning to the body.
 func (t *Thread) switchToScheduler() {
-	t.sched.baton <- schedToken{}
+	t.sched.handOff()
 	<-t.resume
 	if t.sched.aborting {
 		panic(abortPanic{})
@@ -106,11 +110,25 @@ func (t *Thread) switchToScheduler() {
 	t.state = StateRunning
 }
 
-// exit marks the thread done and hands the baton back permanently.
+// exit marks the thread done and passes the baton on permanently.
 func (t *Thread) exit() {
 	t.state = StateDone
 	t.sched.live--
-	t.sched.baton <- schedToken{}
+	t.sched.handOff()
+}
+
+// handOff passes the baton from the thread giving up the processor
+// straight to the head of the ready queue — the thread Run would
+// dispatch next — or back to Run when there is nothing to dispatch (all
+// threads done, or none runnable) or the run is failing.
+func (s *Scheduler) handOff() {
+	if s.live == 0 || len(s.ready) == 0 || s.panicked != nil || s.aborting {
+		s.baton <- schedToken{}
+		return
+	}
+	next := s.ready[0]
+	s.ready = s.ready[1:]
+	next.resume <- struct{}{}
 }
 
 type schedToken struct{}
@@ -125,7 +143,8 @@ type Scheduler struct {
 	threads []*Thread
 	ready   []*Thread
 	live    int
-	// baton receives control whenever a thread yields, parks, or exits.
+	// baton returns control to Run when no thread can take it: every
+	// thread is done, none is runnable, or the run is failing.
 	baton chan schedToken
 	// panicked carries a panic value out of a thread body.
 	panicked any
@@ -176,13 +195,15 @@ func New(n int, body func(*Thread)) *Scheduler {
 // Threads returns the scheduler's threads, indexed by id.
 func (s *Scheduler) Threads() []*Thread { return s.threads }
 
-// Run dispatches threads round-robin until all have finished. It returns
-// an error if the program deadlocks (live threads remain but none are
-// runnable) or if any thread body panicked. A panic value that is an
-// error is wrapped, so errors.Is sees through to the cause — the path a
-// cancelled measurement takes out of the runtime. On any failure every
-// unfinished thread is unwound before Run returns, so a failed run
-// leaks no goroutines.
+// Run dispatches threads round-robin until all have finished: it starts
+// the first ready thread, and the threads then pass the baton among
+// themselves, returning it only when the run completes, deadlocks or
+// fails. It returns an error if the program deadlocks (live threads
+// remain but none are runnable) or if any thread body panicked. A panic
+// value that is an error is wrapped, so errors.Is sees through to the
+// cause — the path a cancelled measurement takes out of the runtime. On
+// any failure every unfinished thread is unwound before Run returns, so
+// a failed run leaks no goroutines.
 func (s *Scheduler) Run() error {
 	for s.live > 0 {
 		if len(s.ready) == 0 {

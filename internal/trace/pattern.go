@@ -32,7 +32,12 @@ import (
 // CompiledTrace is an eagerly parsed XTRP2 stream: header, pattern
 // table, per-pattern delta sums, and the replay program. It is
 // immutable after CompileBinary and safe to share across any number of
-// concurrently replaying PatternSource cursors.
+// concurrently replaying PatternSource cursors — which is how sweeps
+// use it: cells that replay the same measurement under different
+// machine models compile its bytes once and each take their own
+// Source. A compiled trace is several times larger than its XTRP2
+// bytes, so it lives only as long as the sweep that shares it; caches
+// hold the bytes.
 type CompiledTrace struct {
 	hdr      Header
 	declare  uint64
@@ -56,6 +61,37 @@ type compiledOp struct {
 type bodySums struct {
 	dTime, dThread int64
 	dArgs          [kindCount][3]int64
+	// shiftable is false when two fingerprints of a repeat of this body
+	// can never match (see canMatch), so fast-forward need not take
+	// them.
+	shiftable bool
+}
+
+// canMatch reports whether two fingerprints of one repeat op can
+// match. Fast-forward compares snapshots taken at the same op and body
+// position (both are FPExact slots), so between them the cursor applied
+// exactly m ≥ 1 whole iterations and every delta register moved by m ×
+// its body sum. AppendFingerprint pushes prevThread and every arg
+// context except the barrier-id arg0 as FPExact, which DiffFingerprints
+// requires to be unchanged: so any of those sums that stays non-zero
+// when multiplied by m fails the comparison for certain. With s = 2^t ×
+// odd, m·s wraps to zero in int64 only when 2^(64−t) divides m, and m
+// never exceeds a repeat count (≤ MaxEvents = 2^40), so a sum with any
+// of its low 24 bits set is non-zero at every m.
+func (s *bodySums) canMatch() bool {
+	const low = 1<<24 - 1
+	if s.dThread&low != 0 {
+		return false
+	}
+	for k := range s.dArgs {
+		barArg0 := Kind(k) == KindBarrierEntry || Kind(k) == KindBarrierExit
+		for a, v := range s.dArgs[k] {
+			if !(a == 0 && barArg0) && v&low != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // IsXTRP2 reports whether enc begins with the XTRP2 magic.
@@ -94,6 +130,7 @@ func CompileBinary(r io.Reader) (*CompiledTrace, error) {
 			s.dArgs[rw.kind][1] += rw.dA1
 			s.dArgs[rw.kind][2] += rw.dA2
 		}
+		s.shiftable = s.canMatch()
 	}
 
 	produced := uint64(0)
@@ -298,6 +335,14 @@ func (c *PatternSource) RepeatState() (opIdx, bodyLen int, repLeft uint64, ok bo
 	return c.opIdx, len(c.body), c.repLeft, true
 }
 
+// Shiftable reports whether the active repeat op's fingerprints can
+// ever match (false outside a repeat op). When it is false no
+// fast-forward can succeed on this op, so the orchestrator takes no
+// snapshots of it.
+func (c *PatternSource) Shiftable() bool {
+	return c.body != nil && c.ct.sums[c.bodyID].shiftable
+}
+
 // SkipIterations advances the replay k whole body iterations in O(1):
 // the delta state machine is linear, so k iterations from any mid-body
 // position add exactly k × (per-body delta sums). The skipped events
@@ -329,7 +374,8 @@ func (c *PatternSource) SkipIterations(k uint64) error {
 // position and delta-machine registers. prevTime advances on the
 // measured (original) timescale; the per-kind barrier-id arg contexts
 // advance on the barrier-id scale; everything else must be exactly
-// periodic.
+// periodic. bodySums.canMatch reads this classification: a change here
+// must change it too.
 func (c *PatternSource) AppendFingerprint(fp *ReplayFingerprint) {
 	fp.Push(FPExact, int64(c.opIdx))
 	fp.Push(FPExact, int64(c.bodyPos))

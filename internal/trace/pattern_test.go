@@ -175,3 +175,42 @@ func TestMinerFindsRotatedLongPeriod(t *testing.T) {
 	}
 	assertSameTrace(t, tr, back)
 }
+
+// TestBodySumsCanMatch pins the shiftable-body check to the fingerprint
+// classes: a non-zero per-iteration sum in prevThread or any FPExact
+// arg context rules a match out, the barrier-id arg0 contexts (FPBarID)
+// never do, and a sum whose low 24 bits are all zero stays matchable,
+// because some spacing m ≤ MaxEvents could wrap m·s to zero.
+func TestBodySumsCanMatch(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(s *bodySums)
+		want bool
+	}{
+		{"zero", func(s *bodySums) {}, true},
+		{"time only", func(s *bodySums) { s.dTime = 12345 }, true},
+		{"walks threads", func(s *bodySums) { s.dThread = 1 }, false},
+		{"walks threads down", func(s *bodySums) { s.dThread = -3 }, false},
+		{"barrier ids", func(s *bodySums) {
+			s.dArgs[KindBarrierEntry][0], s.dArgs[KindBarrierExit][0] = 2, 2
+		}, true},
+		{"barrier arg1", func(s *bodySums) { s.dArgs[KindBarrierEntry][1] = 1 }, false},
+		{"drifting size", func(s *bodySums) { s.dArgs[KindRemoteRead][1] = 1 }, false},
+		{"drifting owner", func(s *bodySums) { s.dArgs[KindRemoteWrite][0] = 5 }, false},
+		{"bit 23", func(s *bodySums) { s.dArgs[KindRemoteRead][2] = 1 << 23 }, false},
+		{"bit 24 could wrap", func(s *bodySums) { s.dThread = 1 << 24 }, true},
+		{"collection id only", func(s *bodySums) { s.dArgs[KindRemoteRead][2] = 1 << 32 }, true},
+	}
+	for _, tc := range cases {
+		var s bodySums
+		tc.set(&s)
+		if got := s.canMatch(); got != tc.want {
+			t.Errorf("%s: canMatch = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// The boundary of the wrap argument: 2^24 wraps to zero at the
+	// largest spacing, 2^23 does not.
+	if m := int64(MaxEvents); (1<<24)*m != 0 || (1<<23)*m == 0 {
+		t.Errorf("wrap boundary moved: MaxEvents = %d", MaxEvents)
+	}
+}

@@ -190,6 +190,21 @@ func adversarialTrace(t *testing.T, variant string) []byte {
 				th.Barrier()
 			}
 		}
+	case "growing-backlog":
+		// Every iteration sends one large remote write and nothing
+		// waits for it. Under a receive occupancy far above the loop's
+		// compute, deliveries fall one further behind per iteration:
+		// the rows are exactly periodic (the repeat passes the
+		// shiftable-body check) but the in-flight population grows
+		// forever, so every fingerprint comparison must fail.
+		body = func(th *pcxx.Thread) {
+			var v bigElem
+			for i := 0; i < 160; i++ {
+				th.Compute(5 * vtime.Microsecond)
+				c.Write(th, (th.ID()+1)%threads, v)
+				th.Barrier()
+			}
+		}
 	case "late-writes":
 		// A pre-loop burst of large remote writes whose deliveries
 		// drain slowly through the network DURING the loop: early
@@ -221,12 +236,16 @@ func adversarialTrace(t *testing.T, variant string) []byte {
 }
 
 // TestReplayFallbackAdversarial drives traces engineered to defeat the
-// steady-state check — per-iteration drift in transfer sizes, and a
-// late-message regime where pre-loop sends land many pattern iterations
-// later — and asserts two things: predictions remain byte-identical to
-// event replay, and the engine takes the fallback path (fallback
-// counter advances) instead of fast-forwarding through a lying
-// fingerprint.
+// steady-state check — per-iteration drift in transfer sizes, a send
+// backlog that grows every iteration, and a late-message regime where
+// pre-loop sends land many pattern iterations later — and asserts that
+// predictions remain byte-identical to event replay and that the
+// engine never fast-forwards through a lying fingerprint. A drifting
+// transfer size is visible in the loop body's delta sums, so the
+// shiftable-body check rejects it before any fingerprint is taken;
+// the growing backlog is periodic in the trace and only the engine
+// state drifts, so fingerprint comparison must reject it (fallback
+// counter advances).
 func TestReplayFallbackAdversarial(t *testing.T) {
 	slow := machine.GenericDM().Config
 	slow.Comm.ByteTransferTime = 5 * vtime.Microsecond
@@ -234,12 +253,15 @@ func TestReplayFallbackAdversarial(t *testing.T) {
 	cases := []struct {
 		name     string
 		cfg      sim.Config
+		gated    bool // the shiftable-body check rejects the loop: no attempts
 		wantFwd  bool // fast-forward expected once the transient clears
 		banFwd   bool // fast-forward must never engage
 		minFalls uint64
 	}{
-		// Every probe must be rejected: the state drifts forever.
-		{name: "growing-reads", cfg: machine.GenericDM().Config, banFwd: true, minFalls: 5},
+		// The drifting size register can never match: gated off.
+		{name: "growing-reads", cfg: machine.GenericDM().Config, gated: true, banFwd: true},
+		// Every probe must be rejected: the backlog drifts forever.
+		{name: "growing-backlog", cfg: slow, banFwd: true, minFalls: 5},
 		// Probes fail while the late writes drain, then converge: the
 		// fallback path hands over to a genuine steady state.
 		{name: "late-writes", cfg: slow, wantFwd: true, minFalls: 1},
@@ -250,11 +272,15 @@ func TestReplayFallbackAdversarial(t *testing.T) {
 			before := sim.ReadReplayCounters()
 			bothModes(t, enc, tc.cfg)
 			after := sim.ReadReplayCounters()
+			attempts := after.Attempts - before.Attempts
 			falls := after.Fallbacks - before.Fallbacks
 			fwds := after.FastForwards - before.FastForwards
+			if tc.gated && attempts != 0 {
+				t.Errorf("attempts delta = %d on a body the shiftable check rejects, want 0", attempts)
+			}
 			if falls < tc.minFalls {
 				t.Errorf("fallbacks delta = %d, want ≥ %d (attempts delta = %d)",
-					falls, tc.minFalls, after.Attempts-before.Attempts)
+					falls, tc.minFalls, attempts)
 			}
 			if tc.banFwd && fwds != 0 {
 				t.Errorf("fast-forward engaged %d times on a never-steady trace", fwds)
@@ -263,6 +289,75 @@ func TestReplayFallbackAdversarial(t *testing.T) {
 				t.Errorf("fast-forward never engaged after the transient cleared")
 			}
 		})
+	}
+}
+
+// TestSkipGateLossless: the shiftable-body check only skips snapshots
+// of loops whose fingerprints can never match, so it must cost no
+// fast-forward. Every suite kernel and compose preset at its default
+// size over the default sweep ladder, on every machine preset, replays
+// with the check on and off: predictions, fast-forward counts and
+// skipped iterations must all be identical.
+func TestSkipGateLossless(t *testing.T) {
+	type program struct {
+		name    string
+		factory core.ProgramFactory
+	}
+	var progs []program
+	for _, b := range benchmarks.Suite() {
+		progs = append(progs, program{b.Name(), b.Factory(b.DefaultSize())})
+	}
+	for _, p := range compose.Presets() {
+		progs = append(progs, program{p.Name(), p.Factory(p.DefaultSize())})
+	}
+	defer sim.SetSkipGate(sim.SetSkipGate(true))
+	replay := func(t *testing.T, enc []byte, cfg sim.Config, gate bool) (*core.Prediction, sim.ReplayCounters) {
+		t.Helper()
+		sim.SetSkipGate(gate)
+		before := sim.ReadReplayCounters()
+		pred, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := sim.ReadReplayCounters()
+		return pred, sim.ReplayCounters{
+			Attempts:          after.Attempts - before.Attempts,
+			FastForwards:      after.FastForwards - before.FastForwards,
+			IterationsSkipped: after.IterationsSkipped - before.IterationsSkipped,
+		}
+	}
+	var attemptsOn, attemptsOff, skipped uint64
+	for _, p := range progs {
+		for _, threads := range core.DefaultProcCounts() {
+			tr, err := core.Measure(p.factory(threads), core.MeasureOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteBinary2(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			for _, env := range machine.Presets() {
+				cfg := env.Config
+				cfg.Replay = sim.ReplayPattern
+				on, con := replay(t, buf.Bytes(), cfg, true)
+				off, coff := replay(t, buf.Bytes(), cfg, false)
+				if !reflect.DeepEqual(on, off) {
+					t.Fatalf("%s/%d on %s: prediction differs with the check on", p.name, threads, env.Name)
+				}
+				if con.FastForwards != coff.FastForwards || con.IterationsSkipped != coff.IterationsSkipped {
+					t.Errorf("%s/%d on %s: check on %d fast-forwards / %d iterations skipped, off %d / %d",
+						p.name, threads, env.Name, con.FastForwards, con.IterationsSkipped, coff.FastForwards, coff.IterationsSkipped)
+				}
+				attemptsOn += con.Attempts
+				attemptsOff += coff.Attempts
+				skipped += con.IterationsSkipped
+			}
+		}
+	}
+	t.Logf("attempts: %d with the check, %d without; %d iterations skipped either way", attemptsOn, attemptsOff, skipped)
+	if skipped == 0 {
+		t.Error("no fast-forward engaged anywhere: the comparison proves nothing")
 	}
 }
 
