@@ -13,6 +13,7 @@ package extrap
 import (
 	"bytes"
 	"context"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -256,7 +257,7 @@ func BenchmarkSimulationArena(b *testing.B) {
 	arena := sim.NewArena()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateArena(arena, pt, cfg); err != nil {
+		if _, err := sim.SimulateArenaContext(context.Background(), arena, pt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,9 +267,8 @@ func BenchmarkSimulationArena(b *testing.B) {
 // sweepBatchGrid builds the machine-parameter what-if grid for
 // BenchmarkSweepBatch: 24 GenericDM variants on one processor with the
 // model barrier, varying MIPS ratio × barrier cost. Every cell shares
-// the single 16-thread Grid measurement — exactly the workload batched
-// replay amortizes, since the per-cell streaming path must decode and
-// translate that shared trace once per cell.
+// the single 16-thread Grid measurement — the one-trace, many-configs
+// shape of the paper's what-if sweeps.
 func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 	b.Helper()
 	g, err := benchmarks.ByName("grid")
@@ -300,25 +300,18 @@ func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 }
 
 // BenchmarkSweepBatch measures sweep throughput over the 24-cell
-// machine-parameter grid on the streaming service, per-cell versus
-// batched. One worker in both arms, so the ratio isolates the kernel:
-// the sequential arm replays decode→translate→simulate per cell, the
-// batched arm decodes and translates the shared trace once and
-// advances 8 machine models per pass. Results are byte-identical at
-// any batch size (covered by the determinism tests); the committed
-// baseline pins batch8 at ≥ 3× sequential cells/sec with fewer
-// allocs per cell. The xtrp2-pattern arm is the per-cell path on the
-// configuration `extrap serve` runs by default — XTRP2 cached traces
-// under pattern replay, where the 24 cells share one compiled trace.
+// machine-parameter grid on the streaming service, one worker. The
+// sequential arm replays decode→translate→simulate per cell from XTRP1
+// bytes; the xtrp2-pattern arm is the configuration `extrap serve` runs
+// by default — XTRP2 cached traces under pattern replay, where the 24
+// cells share one compiled trace.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
-		batch  int
 		format trace.Format // 0 keeps the streaming service's XTRP1
-	}{{"sequential", 1, 0}, {"batch8", 8, 0}, {"xtrp2-pattern", 1, trace.FormatXTRP2}} {
+	}{{"sequential", 0}, {"xtrp2-pattern", trace.FormatXTRP2}} {
 		b.Run(bc.name, func(b *testing.B) {
 			svc := experiments.NewStreamingService(1, 64, 0)
-			svc.SetBatchSize(bc.batch)
 			svc.SetTraceFormat(bc.format)
 			jobs := sweepBatchGrid(b)
 			ctx := context.Background()
@@ -337,6 +330,64 @@ func BenchmarkSweepBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTranslateStream drains a streaming translation over the
+// compiled XTRP2 cursor of the 16-thread Grid 32×60 measurement that
+// BenchmarkSweepBatch replays: pattern decode plus translate, with no
+// simulation. Every sweep cell on the serve path pays this stage, even
+// when its cells share one compile. Cursors are drained round-robin,
+// one event per thread per round, as the simulator interleaves them.
+func BenchmarkTranslateStream(b *testing.B) {
+	g, err := benchmarks.ByName("grid")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := core.Measure(g.Factory(benchmarks.Size{N: 32, Iters: 60})(16), core.MeasureOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteBinary2(&buf, tr); err != nil {
+		b.Fatal(err)
+	}
+	ct, err := trace.CompileBinary(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var events int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := translate.NewStream(ct.Header(), ct.Source(), translate.StreamOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cursors := make([]trace.Reader, s.NumThreads())
+		for t := range cursors {
+			cursors[t] = s.Thread(t)
+		}
+		events = 0
+		for live := len(cursors); live > 0; {
+			for t, c := range cursors {
+				if c == nil {
+					continue
+				}
+				if _, err := c.Next(); err == io.EOF {
+					cursors[t] = nil
+					live--
+				} else if err != nil {
+					b.Fatal(err)
+				} else {
+					events++
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	if events != len(tr.Events) {
+		b.Fatalf("drained %d translated events, want %d", events, len(tr.Events))
+	}
+	b.ReportMetric(float64(events)/1e3, "kevents")
 }
 
 // sweepFittedJob is the dense-ladder workload for BenchmarkSweepFitted:

@@ -623,7 +623,6 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	fs := flag.NewFlagSet("experiment", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "small problem sizes and a short processor ladder")
 	workers := fs.Int("workers", 0, "worker goroutines for the measurement/simulation grid (0 = all CPUs, 1 = sequential; output is identical at any value)")
-	batch := fs.Int("batch", 0, "batched grid simulation: advance up to this many machine models per pass over a shared measured trace (≤ 1 = per-cell; output is identical at any value)")
 	csv := fs.String("csv", "", "also write each table as CSV into this directory")
 	svg := fs.String("svg", "", "also write each figure as SVG into this directory")
 	storeFlag := fs.String("store", "", "durable artifact store directory: measurements persist there and repeated runs reuse them instead of re-measuring (empty = in-memory only)")
@@ -662,8 +661,11 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 		if replay, err = sim.ParseReplayMode(*replayFlag); err != nil {
 			return opts, "", "", "", "", "", fmt.Errorf("experiment: %w", err)
 		}
+		if tf != trace.FormatXTRP2 {
+			return opts, "", "", "", "", "", fmt.Errorf("experiment: -replay only applies to XTRP2 replay; add -trace-format xtrp2")
+		}
 	}
-	return experiments.Options{Quick: *quick, Workers: *workers, BatchSize: *batch, TraceFormat: tf, FitMode: mode, Replay: replay}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
+	return experiments.Options{Quick: *quick, Workers: *workers, TraceFormat: tf, FitMode: mode, Replay: replay}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
 }
 
 func cmdExperiment(args []string, w io.Writer) error {
@@ -715,7 +717,7 @@ func cmdExperiment(args []string, w io.Writer) error {
 // workloadMachines and workloadLadder fix the sweep grid for
 // `extrap experiment -workload`: the machine set and processor ladder
 // are not flags, so the printed table is a pure function of the spec
-// file — CI diffs the output across -workers, -batch, and -trace-format
+// file — CI diffs the output across -workers and -trace-format
 // knobs to prove the synthesis pipeline deterministic.
 var workloadMachines = []string{"cm5", "generic-dm", "shared-mem"}
 
@@ -729,8 +731,8 @@ func workloadLadder(quick bool) []int {
 // runWorkloadSweep parses a composed-workload spec file, synthesizes its
 // pcxx program, and sweeps it over the fixed machine set and ladder,
 // printing one exact integer-nanosecond cell per (procs, machine). The
-// table is byte-identical at any worker count, batch size, or trace
-// format — the same invariant the registered experiments carry.
+// table is byte-identical at any worker count or trace format — the
+// same invariant the registered experiments carry.
 func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -748,7 +750,6 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 	} else {
 		svc = experiments.NewService(opts.Workers, 64)
 	}
-	svc.SetBatchSize(opts.BatchSize)
 	svc.SetReplay(opts.Replay)
 	if opts.Backend != nil {
 		svc.SetBackend(opts.Backend)

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"extrap/internal/sim"
 )
 
 // runCmd dispatches a CLI command in-process and returns its output.
@@ -188,6 +190,11 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := dispatch("simulate", []string{"-i", "x", "-env", "nosuch"}, &buf); err == nil {
 		t.Error("unknown environment accepted")
+	}
+	for _, cmd := range []string{"experiment", "serve"} {
+		if err := dispatch(cmd, []string{"-batch", "8"}, &buf); err == nil || !strings.Contains(err.Error(), "-batch") {
+			t.Errorf("%s -batch: err = %v, want an undefined-flag error", cmd, err)
+		}
 	}
 }
 
@@ -378,6 +385,23 @@ func TestExperimentModeFlag(t *testing.T) {
 	}
 }
 
+// TestExperimentReplayNeedsXTRP2: -replay only changes XTRP2 replay, so
+// without -trace-format xtrp2 it is rejected rather than ignored.
+func TestExperimentReplayNeedsXTRP2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-replay", "event", "fig7"},
+		{"-replay", "pattern", "-trace-format", "xtrp1", "fig7"},
+	} {
+		if _, _, _, _, _, _, err := parseExperimentFlags(args); err == nil || !strings.Contains(err.Error(), "-trace-format xtrp2") {
+			t.Errorf("args %v: err = %v, want an error naming -trace-format xtrp2", args, err)
+		}
+	}
+	opts, _, _, _, _, _, err := parseExperimentFlags([]string{"-replay", "event", "-trace-format", "xtrp2", "fig7"})
+	if err != nil || opts.Replay != sim.ReplayEvent {
+		t.Errorf("-replay event -trace-format xtrp2: Replay %v err %v", opts.Replay, err)
+	}
+}
+
 // TestExperimentFittedRuns: a quick fitted experiment runs end to end
 // and renders the same table shape as the exact path.
 func TestExperimentFittedRuns(t *testing.T) {
@@ -402,7 +426,7 @@ func TestExperimentWorkloadSweep(t *testing.T) {
 	spec := filepath.Join("..", "..", "internal", "compose", "testdata", "nested.json")
 	runs := [][]string{
 		{"-quick", "-workload", spec},
-		{"-quick", "-workers", "4", "-batch", "8", "-workload", spec},
+		{"-quick", "-workers", "4", "-workload", spec},
 		{"-quick", "-trace-format", "xtrp1", "-workload", spec},
 		{"-quick", "-trace-format", "xtrp2", "-workers", "4", "-workload", spec},
 	}

@@ -78,7 +78,8 @@ func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 // contract end to end: for every combination of kernel, machine model,
 // and barrier algorithm tried, the streaming prediction from XTRP2
 // bytes equals — field for field — the prediction from XTRP1 bytes and
-// the in-memory pipeline's, and so does the batched path.
+// the in-memory pipeline's, and so do replays that share one compile
+// of the XTRP2 bytes across every config.
 func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 	machines := []sim.Config{
 		machine.GenericDM().Config,
@@ -97,6 +98,10 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
+		ct, err := core.CompileEncoded(enc2)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
 		for i, cfg := range cfgs {
 			p1, err := core.ExtrapolateEncoded(ctx, enc1, cfg)
 			if err != nil {
@@ -109,6 +114,13 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 			if !reflect.DeepEqual(p1, p2) {
 				t.Errorf("%s cfg %d: XTRP1 and XTRP2 streaming predictions differ:\n%+v\nvs\n%+v", name, i, p1, p2)
 			}
+			shared, err := core.ExtrapolateCompiled(ctx, enc2, ct, cfg)
+			if err != nil {
+				t.Fatalf("%s cfg %d: shared compile: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(p1, shared) {
+				t.Errorf("%s cfg %d: shared-compile prediction differs from XTRP1", name, i)
+			}
 			oc, err := core.Extrapolate(tr, cfg)
 			if err != nil {
 				t.Fatalf("%s cfg %d: in-memory: %v", name, i, err)
@@ -118,18 +130,6 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 				p2.Ideal != oc.Parallel.Duration() {
 				t.Errorf("%s cfg %d: XTRP2 streaming prediction differs from the in-memory pipeline", name, i)
 			}
-		}
-		// Batched lanes over the once-decoded XTRP2 bytes match too.
-		b1, err := core.ExtrapolateEncodedBatch(ctx, enc1, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := core.ExtrapolateEncodedBatch(ctx, enc2, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(b1, b2) {
-			t.Errorf("%s: batched predictions differ between formats", name)
 		}
 	}
 }

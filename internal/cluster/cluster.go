@@ -4,7 +4,7 @@
 // trace groups: every cell of one group shares a measurement (same
 // benchmark, size, and thread count — only the machine model differs),
 // and cells of different groups share nothing. A Coordinator therefore
-// partitions a sweep exactly the way the batch runner groups cells —
+// partitions a sweep exactly the way the grid runner shares compiles —
 // one shard per measurement group — and dispatches each shard to a
 // worker replica over HTTP. Workers execute shards through their own
 // experiments.Service (the same pipeline the solo server runs), return

@@ -262,46 +262,24 @@ var executeShard = ExecuteShard
 
 // ExecuteShard runs one measurement group's cells through svc: the
 // shared measurement is taken (or found in cache/store) once, then
-// every machine's model is simulated over it — through the batch kernel
-// in BatchSize chunks when the service has batching enabled, per-cell
-// (sharing one compile of the trace) otherwise. Both paths are
-// byte-identical to the solo sweep's cells for the same parameters:
-// they call the same PredictEach/PredictBatch whose cells match the
-// solo grid runner's and jobs queue's, and the returned TotalNs values
-// are exact integers. Exported because the coordinator runs exactly
-// this as its local-fallback path — one executor, two call sites.
+// every machine's model is simulated over it per cell, sharing one
+// compile of the trace. The cells are byte-identical to the solo
+// sweep's for the same parameters: PredictEach's cells match the solo
+// grid runner's and jobs queue's, and the returned TotalNs values are
+// exact integers. Exported because the coordinator runs exactly this
+// as its local-fallback path — one executor, two call sites.
 func ExecuteShard(ctx context.Context, svc *experiments.Service, b benchmarks.Benchmark, sz benchmarks.Size, threads int, envs []machine.Env) ([]CellResult, error) {
-	cells := make([]CellResult, len(envs))
-	batch := svc.BatchSize()
-	if batch < 1 {
-		batch = 1
-	}
 	cfgs := make([]sim.Config, len(envs))
 	for i, env := range envs {
 		cfgs[i] = env.Config
 	}
-	if batch == 1 || len(envs) == 1 {
-		preds, err := svc.PredictEach(ctx, b, sz, threads, pcxx.ActualSize, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		for i, env := range envs {
-			cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(preds[i].Result.TotalTime)}
-		}
-		return cells, nil
+	preds, err := svc.PredictEach(ctx, b, sz, threads, pcxx.ActualSize, cfgs)
+	if err != nil {
+		return nil, err
 	}
-	for lo := 0; lo < len(envs); lo += batch {
-		hi := lo + batch
-		if hi > len(envs) {
-			hi = len(envs)
-		}
-		preds, err := svc.PredictBatch(ctx, b, sz, threads, pcxx.ActualSize, cfgs[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		for i, env := range envs[lo:hi] {
-			cells[lo+i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(preds[i].Result.TotalTime)}
-		}
+	cells := make([]CellResult, len(envs))
+	for i, env := range envs {
+		cells[i] = CellResult{Machine: env.Name, Procs: threads, TotalNs: int64(preds[i].Result.TotalTime)}
 	}
 	return cells, nil
 }

@@ -39,16 +39,6 @@ type Options struct {
 	// are written through. Repeated runs against the same store replay
 	// at disk speed; results are byte-identical either way.
 	Backend core.TraceBackend
-	// BatchSize > 1 groups grid cells that share a measurement and
-	// advances up to this many machine models per pass over the shared
-	// translated trace. Output is byte-identical at any batch size; the
-	// knob trades per-cell decode/translate work (and, on an encoded
-	// cache, the streaming path's bounded memory) for sweep throughput.
-	// ≤ 1 keeps the per-cell path.
-	BatchSize int
-	// BatchStats, when non-nil, accumulates batch counters for this
-	// run (batches issued, cells batched, sequential fallbacks).
-	BatchStats *BatchStats
 	// TraceFormat, when non-zero, runs the experiment over an encoded
 	// trace cache holding measurements in that wire format, exercising
 	// the streaming pipeline end to end. Output is byte-identical to

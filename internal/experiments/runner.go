@@ -134,8 +134,7 @@ func (r *runner) runGrid(jobs []SweepJob) ([][]metrics.Point, error) {
 	if r.opts.FitMode == "fitted" {
 		return runGridFitted(context.Background(), r.cache, r.opts.Workers, jobs)
 	}
-	return runGrid(context.Background(), r.cache, r.opts.Workers,
-		batchOptions{size: r.opts.BatchSize, stats: r.opts.BatchStats}, jobs)
+	return runGrid(context.Background(), r.cache, r.opts.Workers, jobs)
 }
 
 // gridCell addresses one (job, ladder index) cell of a flattened grid.
@@ -154,13 +153,9 @@ type gridCell struct{ job, pt int }
 // a cell's transient footprint is the translation buffer, not the
 // trace. The streaming pipeline is byte-identical to the in-memory
 // one, so the grid's output is the same either way, at any worker
-// count.
-//
-// With bo.size > 1 cells that share a measurement are simulated in
-// batches through the batch kernel (see runGridBatched); the assembled
-// output is byte-identical at any batch size because the batch kernel
-// itself is byte-identical to per-cell simulation.
-func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchOptions, jobs []SweepJob) ([][]metrics.Point, error) {
+// count. On an XTRP2 cache, cells that share a measurement share one
+// compile of it (see shareCompiles).
+func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []SweepJob) ([][]metrics.Point, error) {
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
 	var cells []gridCell
@@ -171,22 +166,24 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, bo batchO
 			cells = append(cells, gridCell{j, i})
 		}
 	}
-	var err error
-	if bo.size > 1 {
-		err = runGridBatched(ctx, cache, workers, bo, jobs, cells, points)
-	} else {
-		shares := shareCompiles(cache, jobs, cells)
-		err = pool.Run(workers, len(cells), func(c int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			var sc *sharedCompile
-			if shares != nil {
-				sc = shares[c]
-			}
-			return runCellSequential(ctx, cache, jobs, cells, points, c, sc)
-		})
-	}
+	shares := shareCompiles(cache, jobs, cells)
+	err := pool.Run(workers, len(cells), func(c int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var sc *sharedCompile
+		if shares != nil {
+			sc = shares[c]
+		}
+		job := &jobs[cells[c].job]
+		n := job.Procs[cells[c].pt]
+		total, err := cellTime(ctx, cache, job, n, sc)
+		if err != nil {
+			return err
+		}
+		points[cells[c].job][cells[c].pt] = metrics.Point{Procs: n, Time: total}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -258,19 +255,18 @@ func (sc *sharedCompile) extrapolate(ctx context.Context, enc []byte, cfg sim.Co
 	return core.ExtrapolateCompiled(ctx, enc, sc.ct, cfg)
 }
 
-// runCellSequential executes one grid cell on the per-cell path:
-// streaming pipeline on an encoded cache (compiling through sc, which
-// may be nil), pooled-arena simulation of the shared translated trace
-// otherwise.
-func runCellSequential(ctx context.Context, cache *core.TraceCache, jobs []SweepJob, cells []gridCell, points [][]metrics.Point, c int, sc *sharedCompile) error {
-	job := &jobs[cells[c].job]
-	n := job.Procs[cells[c].pt]
-	total, err := cellTime(ctx, cache, job, n, sc)
-	if err != nil {
-		return err
-	}
-	points[cells[c].job][cells[c].pt] = metrics.Point{Procs: n, Time: total}
-	return nil
+// arenaPool recycles dense simulator state (threads, processors,
+// barriers, event list, message slab) across sequential grid cells, so
+// the per-cell in-memory path does not reallocate ~½ MB per simulation.
+// Reuse is bit-identity-safe: the arena fully reinitializes on acquire.
+var arenaPool = sync.Pool{New: func() any { return sim.NewArena() }}
+
+// simulateCell runs one in-memory simulation with pooled dense state.
+func simulateCell(ctx context.Context, pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
+	a := arenaPool.Get().(*sim.Arena)
+	res, err := sim.SimulateArenaContext(ctx, a, pt, cfg)
+	arenaPool.Put(a)
+	return res, err
 }
 
 // cellTime measures (through the memo cache) and simulates one cell,

@@ -24,9 +24,7 @@ import (
 type Service struct {
 	cache   *core.TraceCache
 	workers int
-	batch   int
 	replay  sim.ReplayMode
-	bstats  BatchStats
 }
 
 // NewService returns a Service whose sweeps fan out over at most workers
@@ -39,9 +37,10 @@ func NewService(workers, cacheEntries int) *Service {
 }
 
 // NewStreamingService returns a Service backed by an encoded trace
-// cache: measurements stay resident as compact immutable XTRP1 bytes
-// and every prediction runs the bounded-memory streaming pipeline
-// (incremental decode → streaming translate → streaming simulate).
+// cache: measurements stay resident as compact immutable encoded bytes
+// (in the format SetTraceFormat selects) and every prediction runs the
+// bounded-memory streaming pipeline (incremental decode → streaming
+// translate → streaming simulate).
 // Predictions are byte-identical to the in-memory Service's, but a
 // request's transient footprint is the translation buffer rather than
 // the materialized trace, and maxTraceBytes (> 0) rejects any
@@ -82,16 +81,6 @@ func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Comp
 // queue — can match their cell parallelism to the engine's.
 func (s *Service) Workers() int { return s.workers }
 
-// SetBatchSize enables batched sweep simulation: grid cells sharing a
-// measurement advance up to k machine models per pass over the shared
-// translated trace. k ≤ 1 keeps the per-cell path. Responses are
-// byte-identical at any batch size. Set before the Service starts
-// handling requests.
-func (s *Service) SetBatchSize(k int) { s.batch = k }
-
-// BatchSize reports the configured batch width (≤ 1 means per-cell).
-func (s *Service) BatchSize() int { return s.batch }
-
 // SetReplay selects how XTRP2-encoded measurements replay through the
 // simulator: sim.ReplayPattern (the default — compiled pattern programs
 // with steady-state fast-forward) or sim.ReplayEvent (flat event-by-
@@ -103,9 +92,6 @@ func (s *Service) SetReplay(m sim.ReplayMode) { s.replay = m }
 
 // Replay reports the service-wide replay mode.
 func (s *Service) Replay() sim.ReplayMode { return s.replay }
-
-// BatchStats reports cumulative batched-sweep counters.
-func (s *Service) BatchStats() BatchSnapshot { return s.bstats.Snapshot() }
 
 // Extrapolate predicts one benchmark configuration on one target
 // environment: measure (or reuse) the threads-thread trace, translate
@@ -201,70 +187,6 @@ func (s *Service) PredictEach(ctx context.Context, b benchmarks.Benchmark, size 
 	return out, nil
 }
 
-// PredictBatch answers one prediction per config against a single
-// shared measurement — the trace for (benchmark, size, threads) is
-// decoded and translated once and every config's machine model advances
-// over it through the batch kernel. Each returned prediction is
-// byte-identical to what Predict returns for the same config.
-func (s *Service) PredictBatch(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfgs []sim.Config) ([]*core.Prediction, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	if threads <= 0 {
-		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
-	}
-	stamped := make([]sim.Config, len(cfgs))
-	copy(stamped, cfgs)
-	for i := range stamped {
-		stamped[i].Replay = s.replay
-	}
-	cfgs = stamped
-	mopts := core.MeasureOptions{SizeMode: mode}
-	key := cacheKey(b.Name(), size, threads, mopts)
-	measure := func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, b.Factory(size)(threads), mopts)
-	}
-	var out []*core.Prediction
-	if s.cache.Streams() {
-		enc, err := s.cache.Encoded(key, measure)
-		if err != nil {
-			return nil, err
-		}
-		out, err = core.ExtrapolateEncodedBatch(ctx, enc, cfgs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		tr, err := s.cache.Measure(key, measure)
-		if err != nil {
-			return nil, err
-		}
-		pt, err := s.cache.Translated(key, measure)
-		if err != nil {
-			return nil, err
-		}
-		results, err := sim.SimulateBatchContext(ctx, pt, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		out = make([]*core.Prediction, len(results))
-		for i, res := range results {
-			out[i] = &core.Prediction{
-				Measured1P: tr.Duration(),
-				Ideal:      pt.Duration(),
-				Result:     res,
-			}
-		}
-	}
-	if len(cfgs) > 1 {
-		s.bstats.Batches.Add(1)
-		s.bstats.CellsBatched.Add(int64(len(cfgs)))
-	} else {
-		s.bstats.FallbackSequential.Add(1)
-	}
-	return out, nil
-}
-
 // Sweep runs one processor-ladder sweep job through the shared cache and
 // worker pool, returning the scaling series in ladder order. Output is
 // byte-identical at any worker count (the grid runner's invariant).
@@ -277,15 +199,13 @@ func (s *Service) Sweep(ctx context.Context, job SweepJob) ([]metrics.Point, err
 }
 
 // SweepGrid runs several sweep jobs as one grid, returning one series
-// per job in job order. Running related jobs together is what lets the
-// batch kernel engage: cells that name the same benchmark, size, and
-// thread count — the same measurement under different machine models —
-// are simulated together in one pass over the shared trace when the
-// Service's batch size allows. Output is byte-identical to running the
-// jobs one at a time, at any worker count and batch size.
+// per job in job order. Running related jobs together is what lets
+// cells that name the same benchmark, size, and thread count — the same
+// measurement under different machine models — share one compile of
+// the trace. Output is byte-identical to running the jobs one at a
+// time, at any worker count.
 func (s *Service) SweepGrid(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
-	bo := batchOptions{size: s.batch, stats: &s.bstats}
-	return runGrid(ctx, s.cache, s.workers, bo, s.stampReplay(jobs))
+	return runGrid(ctx, s.cache, s.workers, s.stampReplay(jobs))
 }
 
 // stampReplay applies the service-wide replay mode to a copy of the

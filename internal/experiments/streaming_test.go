@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"extrap/internal/core"
+	"extrap/internal/machine"
 	"extrap/internal/pcxx"
+	"extrap/internal/sim"
 	"extrap/internal/trace"
+	"extrap/internal/vtime"
 )
 
 // TestStreamingServiceMatchesInMemory: the encoded-cache Service must
@@ -124,6 +127,38 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 	if _, err := str.Sweep(ctx, job); !errors.Is(err, core.ErrTraceTooLarge) {
 		t.Errorf("Sweep err = %v, want ErrTraceTooLarge", err)
 	}
+}
+
+// machineGrid builds K machine variants of the generic-dm preset —
+// the "measure once, ask many what-if questions" shape: every cell at
+// one ladder point shares a measurement.
+func machineGrid(k int) []sim.Config {
+	cfgs := make([]sim.Config, k)
+	for i := range cfgs {
+		cfg := machine.GenericDM().Config
+		cfg.Comm.StartupTime = vtime.FromMicros(float64(10 + 20*i))
+		cfg.MipsRatio = []float64{0.5, 1.0, 2.0}[i%3]
+		cfgs[i] = cfg
+	}
+	return cfgs
+}
+
+func gridJobs(t *testing.T, bench string, cfgs []sim.Config, procs []int) []SweepJob {
+	t.Helper()
+	b := mustBench(t, bench)
+	sz := Options{Quick: true}.size(b)
+	jobs := make([]SweepJob, len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = SweepJob{
+			Name:    b.Name(),
+			Size:    sz,
+			Factory: b.Factory(sz),
+			Mode:    pcxx.ActualSize,
+			Cfg:     cfg,
+			Procs:   procs,
+		}
+	}
+	return jobs
 }
 
 // TestSharedCompileMatchesPrivate: on an XTRP2 cache under pattern

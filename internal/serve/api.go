@@ -120,7 +120,7 @@ type SweepRequest struct {
 	Machine string `json:"machine,omitempty"`
 	// Machines names several target environments to sweep against the
 	// same measurements — the "measure once, ask many what-if questions"
-	// shape, where the server's batched simulation kernel engages. The
+	// shape, where the machines share one compile per measurement. The
 	// response is one curve per machine (MultiSweepResponse). Exactly
 	// one of Machine / Machines must be set.
 	Machines []string `json:"machines,omitempty"`

@@ -76,14 +76,6 @@ type Config struct {
 	// Workers bounds the goroutines a sweep fans its ladder across;
 	// ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// BatchSize > 1 enables batched sweep simulation: grid cells that
-	// share a measurement (same benchmark/size/threads under different
-	// machine models — multi-machine sweeps and jobs) advance up to
-	// BatchSize machine models per pass over the shared translated
-	// trace. Responses are byte-identical at any batch size; the knob
-	// trades the streaming path's per-cell bounded memory for sweep
-	// throughput. ≤ 1 keeps the per-cell streaming path.
-	BatchSize int
 	// CacheEntries bounds the measurement memo cache (LRU-evicted past
 	// the bound) so clients iterating request parameters cannot grow
 	// server memory without limit; ≤ 0 selects the default of 256.
@@ -93,8 +85,8 @@ type Config struct {
 	// is rejected with 413 trace_too_large (and the rejection is
 	// memoized — the measurement is deterministic, so it would exceed
 	// the budget every time). Cached measurements are held as compact
-	// XTRP1 bytes and predictions stream through bounded cursors, so
-	// this budget, times CacheEntries, bounds cache memory. 0 selects
+	// TraceFormat bytes and predictions stream through bounded cursors,
+	// so this budget, times CacheEntries, bounds cache memory. 0 selects
 	// the default of 256 MiB; < 0 disables the budget.
 	MaxTraceBytes int64
 	// TraceFormat selects the wire format for cached measurement
@@ -223,7 +215,6 @@ func New(cfg Config) (*Server, error) {
 		met: newMetricsSet(),
 		log: logger,
 	}
-	s.svc.SetBatchSize(cfg.BatchSize)
 	s.svc.SetTraceFormat(cfg.TraceFormat)
 	s.svc.SetReplay(cfg.Replay)
 	if cfg.StoreDir != "" {
@@ -464,10 +455,10 @@ func (s *Server) handleExtrapolate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep serves POST /v1/sweep. A request naming several machines
-// runs them as one grid sharing the ladder's measurements — the shape
-// where the batched simulation kernel engages — and answers one curve
+// runs them as one grid sharing the ladder's measurements — each
+// measurement compiled once for all machines — and answers one curve
 // per machine; a single-machine request keeps the original response
-// shape, byte-identical at any batch size.
+// shape.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if apiErr := decodeJSON(r, &req); apiErr != nil {
@@ -579,10 +570,9 @@ func buildSweepResponse(bench, machineName string, size, iters int, points []met
 // runFittedSweep runs the sparse fitted pipeline: an analytic fit over
 // anchors the refinement chooses, each anchor simulated through the same
 // executor the exact path uses — the coordinator's shard fan-out when
-// clustered (only the sparse anchors are dispatched), the local batch
+// clustered (only the sparse anchors are dispatched), the local shard
 // executor otherwise. The fit itself is deterministic arithmetic, so
-// fitted responses are byte-identical across worker counts, batch sizes,
-// and replicas for the same request.
+// fitted responses are byte-identical across worker counts and replicas for the same request.
 func (s *Server) runFittedSweep(ctx context.Context, b benchmarks.Benchmark, sz benchmarks.Size, envs []machine.Env, ladder []int) (*model.Result, *apiError) {
 	var sim model.Simulator
 	if s.coord != nil {

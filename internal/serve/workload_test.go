@@ -24,7 +24,7 @@ var workloadSweepBody = `{"workload":` + workloadSpec +
 // TestWorkloadSweepByteIdenticalMatrix is the tentpole acceptance test
 // for composed workloads: the same nested spec served via /v1/sweep
 // must answer byte-identically across solo vs coordinator+2-workers,
-// per-cell vs batch-8 simulation, and XTRP1 vs XTRP2 trace caches.
+// and XTRP1 vs XTRP2 trace caches.
 func TestWorkloadSweepByteIdenticalMatrix(t *testing.T) {
 	_, solo := newTestServer(t, Config{Workers: 2})
 	status, want := post(t, solo.URL+"/v1/sweep", workloadSweepBody)
@@ -42,9 +42,8 @@ func TestWorkloadSweepByteIdenticalMatrix(t *testing.T) {
 		"coordinator+2workers": coord,
 	}
 	for name, cfg := range map[string]Config{
-		"batch8": {Workers: 2, BatchSize: 8},
-		"xtrp1":  {Workers: 2, TraceFormat: trace.FormatXTRP1},
-		"xtrp2":  {Workers: 2, TraceFormat: trace.FormatXTRP2},
+		"xtrp1": {Workers: 2, TraceFormat: trace.FormatXTRP1},
+		"xtrp2": {Workers: 2, TraceFormat: trace.FormatXTRP2},
 	} {
 		_, ts := newTestServer(t, cfg)
 		variants[name] = ts

@@ -2,9 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"extrap/internal/pcxx"
@@ -15,7 +15,7 @@ import (
 )
 
 // randomWorkload builds a measured-and-translated trace with rng-chosen
-// imbalance, remote traffic, and barrier count, so batch-equivalence is
+// imbalance, remote traffic, and barrier count, so arena reuse is
 // exercised over many workload shapes rather than one.
 func randomWorkload(t *testing.T, rng *rand.Rand, n int) *translate.ParallelTrace {
 	t.Helper()
@@ -124,43 +124,6 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestSimulateBatchMatchesPerCell is the batch-equivalence property:
-// for randomized workloads and mixed-model batches (different barrier
-// algorithms, topologies, policies, and placements in ONE batch),
-// SimulateBatch must equal per-cell Simulate event-for-event.
-func TestSimulateBatchMatchesPerCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 12; trial++ {
-		n := []int{2, 4, 8}[rng.Intn(3)]
-		pt := randomWorkload(t, rng, n)
-		k := 2 + rng.Intn(4)
-		cfgs := make([]Config, k)
-		for i := range cfgs {
-			cfgs[i] = randomConfig(rng, n)
-		}
-		batch, err := SimulateBatch(pt, cfgs)
-		if err != nil {
-			t.Fatalf("trial %d: batch: %v", trial, err)
-		}
-		if len(batch) != k {
-			t.Fatalf("trial %d: %d results for %d configs", trial, len(batch), k)
-		}
-		for i, cfg := range cfgs {
-			want, err := Simulate(pt, cfg)
-			if err != nil {
-				t.Fatalf("trial %d lane %d: per-cell: %v", trial, i, err)
-			}
-			assertSameResult(t, labelFor(trial, i, n, cfg), want, batch[i])
-		}
-	}
-}
-
-func labelFor(trial, lane, n int, cfg Config) string {
-	return "trial " + itoa(trial) + " lane " + itoa(lane) +
-		" (n=" + itoa(n) + " procs=" + itoa(cfg.Procs) +
-		" bar=" + itoa(int(cfg.Barrier.Algorithm)) + ")"
-}
-
 func itoa(v int) string {
 	if v == 0 {
 		return "0"
@@ -173,51 +136,6 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(b[i:])
-}
-
-// TestSimulateBatchStreamMatchesPerCell runs the streaming batch entry
-// point (binary decode → streaming translate → batch) against per-cell
-// streaming simulation over the same bytes.
-func TestSimulateBatchStreamMatchesPerCell(t *testing.T) {
-	const n = 8
-	tr := richMeasurement(t, n)
-	var enc bytes.Buffer
-	if err := trace.WriteBinary(&enc, tr); err != nil {
-		t.Fatal(err)
-	}
-	var cfgs []Config
-	for _, cfg := range streamEquivConfigs(n) {
-		cfg.EmitTrace = true
-		cfgs = append(cfgs, cfg)
-	}
-
-	d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := translate.NewStream(d.Header(), d, translate.StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := SimulateBatchStream(s, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		d, err := trace.NewDecoder(bytes.NewReader(enc.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := translate.NewStream(d.Header(), d, translate.StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SimulateStream(s, cfg)
-		if err != nil {
-			t.Fatalf("lane %d: stream per-cell: %v", i, err)
-		}
-		assertSameResult(t, "stream lane "+itoa(i), want, batch[i])
-	}
 }
 
 // TestArenaReuseAcrossHeterogeneousRuns reuses ONE arena across
@@ -243,42 +161,10 @@ func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		got, err := SimulateArena(a, c.pt, c.cfg)
+		got, err := SimulateArenaContext(context.Background(), a, c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d (arena): %v", i, err)
 		}
 		assertSameResult(t, "cell "+itoa(i), want, got)
-	}
-}
-
-// TestSimulateBatchLaneError: an invalid lane aborts the batch with the
-// lane index in the error; valid earlier lanes do not mask it.
-func TestSimulateBatchLaneError(t *testing.T) {
-	pt := measureAndTranslate(t, 4, func(th *pcxx.Thread) {
-		th.Compute(10 * vtime.Microsecond)
-		th.Barrier()
-	})
-	bad := zeroConfig()
-	bad.Procs = 3 // 4 threads not divisible by 3
-	_, err := SimulateBatch(pt, []Config{zeroConfig(), bad})
-	if err == nil {
-		t.Fatal("expected lane error")
-	}
-	if !strings.Contains(err.Error(), "lane 1") {
-		t.Errorf("error %q does not name lane 1", err)
-	}
-}
-
-// TestSimulateBatchEmpty: zero configs is a no-op, not an error.
-func TestSimulateBatchEmpty(t *testing.T) {
-	pt := measureAndTranslate(t, 2, func(th *pcxx.Thread) {
-		th.Barrier()
-	})
-	res, err := SimulateBatch(pt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("got %d results for empty batch", len(res))
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ func streamEquivConfigs(n int) map[string]Config {
 }
 
 // TestStreamMatchesSlice: for every environment, the streaming pipeline
-// (decode-free source → translate.Stream → SimulateStream) must produce
+// (decode-free source → translate.Stream → SimulateStreamContext) must produce
 // results and emitted traces byte-identical to the in-memory path.
 func TestStreamMatchesSlice(t *testing.T) {
 	const n = 8
@@ -92,7 +93,7 @@ func TestStreamMatchesSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SimulateStream(s, cfg)
+		got, err := SimulateStreamContext(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatalf("%s: stream path: %v", name, err)
 		}
@@ -134,7 +135,7 @@ func TestStreamOverBinaryDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := policyConfig(Interrupt, 0)
-	got, err := SimulateStream(s, cfg)
+	got, err := SimulateStreamContext(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +170,8 @@ func TestStreamSourceErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = SimulateStream(s, zeroConfig())
+	_, err = SimulateStreamContext(context.Background(), s, zeroConfig())
 	if err == nil || !strings.Contains(err.Error(), "barrier") {
-		t.Fatalf("SimulateStream = %v, want barrier validation error", err)
+		t.Fatalf("SimulateStreamContext = %v, want barrier validation error", err)
 	}
 }

@@ -108,33 +108,35 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalenceBatch asserts the batch kernel honors the replay
-// mode uniformly: a multi-config batch answered in pattern mode equals
-// the same batch answered in event mode, cell for cell.
+// TestReplayEquivalenceBatch asserts a multi-config batch sharing one
+// compile of the trace honors the replay mode uniformly: each config
+// replayed in pattern mode over the shared compiled trace equals the
+// same config replayed in event mode, cell for cell.
 func TestReplayEquivalenceBatch(t *testing.T) {
 	enc := encodeKernel(t, "grid", benchmarks.Size{N: 16, Iters: 20}, 8)
-	mk := func(m sim.ReplayMode) []sim.Config {
-		a := machine.GenericDM().Config
-		b := a
-		b.MipsRatio = 2.0
-		c := a
-		c.Barrier.Algorithm = sim.TreeBarrier
-		cfgs := []sim.Config{a, b, c}
-		for i := range cfgs {
-			cfgs[i].Replay = m
+	a := machine.GenericDM().Config
+	b := a
+	b.MipsRatio = 2.0
+	c := a
+	c.Barrier.Algorithm = sim.TreeBarrier
+	ct, err := core.CompileEncoded(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range []sim.Config{a, b, c} {
+		cfg.Replay = sim.ReplayEvent
+		want, err := core.ExtrapolateCompiled(context.Background(), enc, ct, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return cfgs
-	}
-	want, err := core.ExtrapolateEncodedBatch(context.Background(), enc, mk(sim.ReplayEvent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.ExtrapolateEncodedBatch(context.Background(), enc, mk(sim.ReplayPattern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("batched pattern replay diverged from batched event replay")
+		cfg.Replay = sim.ReplayPattern
+		got, err := core.ExtrapolateCompiled(context.Background(), enc, ct, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("config %d: shared-compile pattern replay diverged from event replay", i)
+		}
 	}
 }
 
