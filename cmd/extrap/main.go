@@ -626,9 +626,7 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	csv := fs.String("csv", "", "also write each table as CSV into this directory")
 	svg := fs.String("svg", "", "also write each figure as SVG into this directory")
 	storeFlag := fs.String("store", "", "durable artifact store directory: measurements persist there and repeated runs reuse them instead of re-measuring (empty = in-memory only)")
-	formatFlag := fs.String("trace-format", "", "run over an encoded trace cache in this wire format (xtrp1|xtrp2); output is byte-identical to the default in-memory run (empty = in-memory)")
 	modeFlag := fs.String("mode", "", "grid mode: exact (default — simulate every ladder cell) or fitted (simulate sparse anchors, answer the rest from an analytic least-squares fit)")
-	replayFlag := fs.String("replay", "", "XTRP2 replay mode: pattern (default — compiled pattern programs with steady-state fast-forward) or event (flat event-by-event); output is byte-identical either way")
 	workloadFlag := fs.String("workload", "", "sweep a composed workload (JSON pattern spec file) over the modeled machines instead of running a registered experiment")
 	if err = fs.Parse(args); err != nil {
 		return opts, "", "", "", "", "", err
@@ -642,12 +640,6 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	case *workloadFlag != "" && fs.NArg() != 0:
 		return opts, "", "", "", "", "", fmt.Errorf("experiment: -workload replaces the experiment id; drop %q", fs.Arg(0))
 	}
-	var tf trace.Format
-	if *formatFlag != "" {
-		if tf, err = trace.ParseFormat(*formatFlag); err != nil {
-			return opts, "", "", "", "", "", fmt.Errorf("experiment: %w", err)
-		}
-	}
 	mode := *modeFlag
 	switch mode {
 	case "", "exact":
@@ -656,16 +648,7 @@ func parseExperimentFlags(args []string) (opts experiments.Options, id, workload
 	default:
 		return opts, "", "", "", "", "", fmt.Errorf("experiment: -mode must be \"exact\" or \"fitted\", got %q", mode)
 	}
-	var replay sim.ReplayMode
-	if *replayFlag != "" {
-		if replay, err = sim.ParseReplayMode(*replayFlag); err != nil {
-			return opts, "", "", "", "", "", fmt.Errorf("experiment: %w", err)
-		}
-		if tf != trace.FormatXTRP2 {
-			return opts, "", "", "", "", "", fmt.Errorf("experiment: -replay only applies to XTRP2 replay; add -trace-format xtrp2")
-		}
-	}
-	return experiments.Options{Quick: *quick, Workers: *workers, TraceFormat: tf, FitMode: mode, Replay: replay}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
+	return experiments.Options{Quick: *quick, Workers: *workers, FitMode: mode}, fs.Arg(0), *workloadFlag, *csv, *svg, *storeFlag, nil
 }
 
 func cmdExperiment(args []string, w io.Writer) error {
@@ -717,8 +700,8 @@ func cmdExperiment(args []string, w io.Writer) error {
 // workloadMachines and workloadLadder fix the sweep grid for
 // `extrap experiment -workload`: the machine set and processor ladder
 // are not flags, so the printed table is a pure function of the spec
-// file — CI diffs the output across -workers and -trace-format
-// knobs to prove the synthesis pipeline deterministic.
+// file — CI diffs the output across -workers and a cold vs warm
+// -store to prove the synthesis pipeline deterministic.
 var workloadMachines = []string{"cm5", "generic-dm", "shared-mem"}
 
 func workloadLadder(quick bool) []int {
@@ -731,8 +714,8 @@ func workloadLadder(quick bool) []int {
 // runWorkloadSweep parses a composed-workload spec file, synthesizes its
 // pcxx program, and sweeps it over the fixed machine set and ladder,
 // printing one exact integer-nanosecond cell per (procs, machine). The
-// table is byte-identical at any worker count or trace format — the
-// same invariant the registered experiments carry.
+// table is byte-identical at any worker count and with or without a
+// store — the same invariant the registered experiments carry.
 func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -743,14 +726,7 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 		return fmt.Errorf("experiment: workload %s: %w", path, err)
 	}
 
-	var svc *experiments.Service
-	if opts.TraceFormat != 0 {
-		svc = experiments.NewStreamingService(opts.Workers, 64, 0)
-		svc.SetTraceFormat(opts.TraceFormat)
-	} else {
-		svc = experiments.NewService(opts.Workers, 64)
-	}
-	svc.SetReplay(opts.Replay)
+	svc := experiments.NewService(opts.Workers, 64)
 	if opts.Backend != nil {
 		svc.SetBackend(opts.Backend)
 	}

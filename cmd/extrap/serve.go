@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"extrap/internal/serve"
-	"extrap/internal/sim"
-	"extrap/internal/trace"
 )
 
 // cmdServe runs the extrapolation service: a JSON-over-HTTP API backed
@@ -33,8 +31,6 @@ func cmdServe(args []string, out io.Writer) error {
 	storeDir := fs.String("store-dir", "", "durable artifact store directory; enables on-disk trace/prediction reuse and the async jobs API (empty = in-memory only)")
 	storeBytes := fs.Int64("store-bytes", 0, "artifact store on-disk budget in bytes, LRU-evicted past it (0 = unlimited)")
 	jobWorkers := fs.Int("jobs-workers", 1, "concurrently executing async jobs (requires -store-dir)")
-	traceFormat := fs.String("trace-format", "xtrp2", "wire format for cached measurement traces: xtrp2 (loop-compacted) or xtrp1 (flat records); predictions are byte-identical either way")
-	replayFlag := fs.String("replay", "pattern", "XTRP2 replay mode: pattern (compiled pattern programs with steady-state fast-forward) or event (flat event-by-event); responses are byte-identical either way")
 	role := fs.String("role", "solo", "cluster role: solo (default), coordinator (shard sweeps across -peers), or worker (accept shards on internal endpoints)")
 	peers := fs.String("peers", "", "comma-separated peer base URLs; for a coordinator the worker replicas (required, ≥ 1), for a worker optionally one peer to read measurement artifacts through")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -62,14 +58,6 @@ func cmdServe(args []string, out io.Writer) error {
 	if *jobWorkers < 1 {
 		return fmt.Errorf("serve: -jobs-workers must be ≥ 1, got %d", *jobWorkers)
 	}
-	tf, err := trace.ParseFormat(*traceFormat)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	replay, err := sim.ParseReplayMode(*replayFlag)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
 		p = strings.TrimSpace(p)
@@ -93,8 +81,6 @@ func cmdServe(args []string, out io.Writer) error {
 		StoreDir:       *storeDir,
 		StoreBytes:     *storeBytes,
 		JobWorkers:     *jobWorkers,
-		TraceFormat:    tf,
-		Replay:         replay,
 		Role:           *role,
 		Peers:          peerList,
 		EnablePprof:    *pprofFlag,

@@ -417,43 +417,29 @@ func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error))
 
 // Measure returns the memoized measurement trace for key, running
 // measure on first use. Concurrent callers with the same key block until
-// the single measurement completes and then share its trace. On an
-// encoded cache each caller receives its own freshly decoded copy, so
-// mutating it cannot leak into other cells.
+// the single measurement completes and then share its trace. Valid only
+// on an in-memory cache; an encoded cache serves Encoded.
 func (c *TraceCache) Measure(key CacheKey, measure func() (*trace.Trace, error)) (*trace.Trace, error) {
+	if c.encoded {
+		return nil, errors.New("core: Measure called on an encoded TraceCache")
+	}
 	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c.encoded {
-		enc, err := c.encodedLocked(key, e, measure)
-		if err != nil {
-			return nil, err
-		}
-		return trace.ReadBinaryAny(bytes.NewReader(enc))
-	}
 	return c.measureLocked(key, e, measure)
 }
 
 // Translated returns the memoized translation of the measurement for
-// key, measuring and translating on first use. On an encoded cache the
-// translation is rebuilt per call from a private decode (nothing shared
-// escapes); streaming consumers should prefer Encoded with
-// ExtrapolateEncoded instead.
+// key, measuring and translating on first use. Valid only on an
+// in-memory cache; an encoded cache serves Encoded, which streams
+// through ExtrapolateEncoded.
 func (c *TraceCache) Translated(key CacheKey, measure func() (*trace.Trace, error)) (*translate.ParallelTrace, error) {
+	if c.encoded {
+		return nil, errors.New("core: Translated called on an encoded TraceCache")
+	}
 	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c.encoded {
-		enc, err := c.encodedLocked(key, e, measure)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
-		if err != nil {
-			return nil, err
-		}
-		return translate.Translate(tr)
-	}
 	tr, err := c.measureLocked(key, e, measure)
 	if err != nil {
 		return nil, err

@@ -190,25 +190,24 @@ func TestSharedCacheHitPurity(t *testing.T) {
 	}
 }
 
-// TestEncodedCacheMeasureCopies: decoded copies handed out by an encoded
-// cache are private — mutating one never corrupts later hits.
-func TestEncodedCacheMeasureCopies(t *testing.T) {
+// TestEncodedCacheRejectsMeasure: an encoded cache hands out only its
+// immutable bytes; the in-memory accessors are misuse, reported as an
+// error without running the measurement.
+func TestEncodedCacheRejectsMeasure(t *testing.T) {
 	c := NewEncodedTraceCache(4, 0)
 	key := CacheKey{Bench: "test", Threads: 4}
-	measure := func() (*trace.Trace, error) { return Measure(testProgram(4), MeasureOptions{}) }
-	first, err := c.Measure(key, measure)
-	if err != nil {
-		t.Fatal(err)
+	measure := func() (*trace.Trace, error) {
+		t.Error("misuse ran the measurement")
+		return Measure(testProgram(4), MeasureOptions{})
 	}
-	want := first.Events[0]
-	first.Events[0].Time += 999 // vandalize the copy
-
-	second, err := c.Measure(key, measure)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.Measure(key, measure); err == nil {
+		t.Error("Measure on encoded cache succeeded")
 	}
-	if second.Events[0] != want {
-		t.Fatal("mutating one decoded copy leaked into the cache")
+	if _, err := c.Translated(key, measure); err == nil {
+		t.Error("Translated on encoded cache succeeded")
+	}
+	if hits, misses := c.Stats(); hits+misses != 0 {
+		t.Errorf("misuse counted %d lookups", hits+misses)
 	}
 }
 

@@ -86,7 +86,7 @@ func runAblationCluster(opts Options) (*Output, error) {
 		cfg.IntraComm = intra
 		cfg.Placement = cells[i].pl
 		cfg.ContextSwitchTime = 10 * vtime.Microsecond
-		res, err := simulate(pt, cfg)
+		res, err := sim.Simulate(pt, cfg)
 		if err != nil {
 			return err
 		}

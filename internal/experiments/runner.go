@@ -30,16 +30,7 @@ type runner struct {
 }
 
 func newRunner(opts Options) *runner {
-	r := &runner{opts: opts}
-	if opts.TraceFormat != 0 {
-		// Format-pinned runs go through the encoded cache so the chosen
-		// wire format is actually on the hot path (encode, then stream-
-		// decode per cell), not just a label.
-		r.cache = core.NewEncodedTraceCache(0, 0)
-		r.cache.SetFormat(opts.TraceFormat)
-	} else {
-		r.cache = core.NewTraceCache()
-	}
+	r := &runner{opts: opts, cache: core.NewTraceCache()}
 	if opts.Backend != nil {
 		r.cache.SetBackend(opts.Backend)
 	}
@@ -128,9 +119,6 @@ func (r *runner) job(b benchmarks.Benchmark, mode pcxx.SizeMode, cfg sim.Config,
 // runGrid fans the grid across the experiment's worker pool, through
 // the fitted path when the run's FitMode selects it.
 func (r *runner) runGrid(jobs []SweepJob) ([][]metrics.Point, error) {
-	for i := range jobs {
-		jobs[i].Cfg.Replay = r.opts.Replay
-	}
 	if r.opts.FitMode == "fitted" {
 		return runGridFitted(context.Background(), r.cache, r.opts.Workers, jobs)
 	}
@@ -222,8 +210,7 @@ func compilesXTRP2(cache *core.TraceCache) bool {
 
 // sharedCompile is one measurement's compiled trace, shared by the
 // grid cells that replay it (trace.CompiledTrace is immutable and every
-// replay takes its own cursor). The first pattern-replay cell compiles
-// the bytes it looked up; cells always look their bytes up themselves,
+// replay takes its own cursor). The first cell compiles the bytes it looked up; cells always look their bytes up themselves,
 // so cache statistics and recency are those of unshared cells. The
 // trace is dropped when the last cell finishes: a compiled trace is
 // several times its encoded size and never outlives its cells.
@@ -245,9 +232,6 @@ func (sc *sharedCompile) extrapolate(ctx context.Context, enc []byte, cfg sim.Co
 			sc.ct = nil
 		}
 	}()
-	if cfg.Replay != sim.ReplayPattern {
-		return core.ExtrapolateCompiled(ctx, enc, nil, cfg)
-	}
 	sc.once.Do(func() { sc.ct, sc.err = core.CompileEncoded(enc) })
 	if sc.err != nil {
 		return nil, sc.err
@@ -342,9 +326,4 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 		return nil, err
 	}
 	return points, nil
-}
-
-// simulate runs one simulation of an already-translated trace.
-func simulate(pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
-	return sim.Simulate(pt, cfg)
 }

@@ -24,7 +24,6 @@ import (
 type Service struct {
 	cache   *core.TraceCache
 	workers int
-	replay  sim.ReplayMode
 }
 
 // NewService returns a Service whose sweeps fan out over at most workers
@@ -69,9 +68,6 @@ func (s *Service) SetBackend(b core.TraceBackend) { s.cache.SetBackend(b) }
 // durable bytes. Set before the Service starts handling requests.
 func (s *Service) SetTraceFormat(f trace.Format) { s.cache.SetFormat(f) }
 
-// TraceFormat reports the cache's encoding format.
-func (s *Service) TraceFormat() trace.Format { return s.cache.Format() }
-
 // CompressionStats reports the raw (XTRP1-equivalent) and actual
 // encoded bytes of measurements the cache has encoded so far.
 func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Compression() }
@@ -81,30 +77,23 @@ func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Comp
 // queue — can match their cell parallelism to the engine's.
 func (s *Service) Workers() int { return s.workers }
 
-// SetReplay selects how XTRP2-encoded measurements replay through the
-// simulator: sim.ReplayPattern (the default — compiled pattern programs
-// with steady-state fast-forward) or sim.ReplayEvent (flat event-by-
-// event replay, the rollback/A-B knob). Predictions are byte-identical
-// in both modes; the mode is stamped on every request's simulation
-// config, service-wide, and is not part of any cache key. Set before
-// the Service starts handling requests.
-func (s *Service) SetReplay(m sim.ReplayMode) { s.replay = m }
-
-// Replay reports the service-wide replay mode.
-func (s *Service) Replay() sim.ReplayMode { return s.replay }
-
-// Extrapolate predicts one benchmark configuration on one target
+// Predict predicts one benchmark configuration on one target
 // environment: measure (or reuse) the threads-thread trace, translate
-// it, and simulate it under cfg. The context bounds every stage,
-// including the measurement (polled at safe points in the runtime). A
-// measurement aborted by the caller's deadline is not memoized — the
-// error goes to that caller alone and the next request re-measures
-// under its own deadline — so a timeout never poisons the cache.
-func (s *Service) Extrapolate(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Outcome, error) {
+// it, and simulate it under cfg, returning the scalar prediction. The
+// context bounds every stage, including the measurement (polled at
+// safe points in the runtime). A measurement aborted by the caller's
+// deadline is not memoized — the error goes to that caller alone and
+// the next request re-measures under its own deadline — so a timeout
+// never poisons the cache. On a streaming Service the traces flow
+// through bounded cursors and are never materialized; both shapes
+// produce byte-identical predictions for the same request.
+func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
+	if s.cache.Streams() {
+		return s.predictEncoded(ctx, b, size, threads, mode, cfg, nil)
+	}
 	if threads <= 0 {
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
-	cfg.Replay = s.replay
 	mopts := core.MeasureOptions{SizeMode: mode}
 	key := cacheKey(b.Name(), size, threads, mopts)
 	measure := func() (*trace.Trace, error) {
@@ -122,27 +111,7 @@ func (s *Service) Extrapolate(ctx context.Context, b benchmarks.Benchmark, size 
 	if err != nil {
 		return nil, err
 	}
-	return &core.Outcome{Measurement: tr, Parallel: pt, Result: res}, nil
-}
-
-// Predict is Extrapolate returning only the scalar prediction — the
-// shape serving layers need. On a streaming Service the traces flow
-// through bounded cursors and are never materialized; on an in-memory
-// Service it delegates to Extrapolate. Both produce byte-identical
-// predictions for the same request.
-func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
-	if !s.cache.Streams() {
-		out, err := s.Extrapolate(ctx, b, size, threads, mode, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Prediction{
-			Measured1P: out.Measurement.Duration(),
-			Ideal:      out.Parallel.Duration(),
-			Result:     out.Result,
-		}, nil
-	}
-	return s.predictEncoded(ctx, b, size, threads, mode, cfg, nil)
+	return &core.Prediction{Measured1P: tr.Duration(), Ideal: pt.Duration(), Result: res}, nil
 }
 
 // predictEncoded is Predict's streaming path, compiling through sc
@@ -151,7 +120,6 @@ func (s *Service) predictEncoded(ctx context.Context, b benchmarks.Benchmark, si
 	if threads <= 0 {
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
-	cfg.Replay = s.replay
 	mopts := core.MeasureOptions{SizeMode: mode}
 	enc, err := s.cache.Encoded(cacheKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
 		return core.MeasureContext(ctx, b.Factory(size)(threads), mopts)
@@ -205,18 +173,7 @@ func (s *Service) Sweep(ctx context.Context, job SweepJob) ([]metrics.Point, err
 // the trace. Output is byte-identical to running the jobs one at a
 // time, at any worker count.
 func (s *Service) SweepGrid(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
-	return runGrid(ctx, s.cache, s.workers, s.stampReplay(jobs))
-}
-
-// stampReplay applies the service-wide replay mode to a copy of the
-// jobs (callers' slices are never mutated).
-func (s *Service) stampReplay(jobs []SweepJob) []SweepJob {
-	out := make([]SweepJob, len(jobs))
-	copy(out, jobs)
-	for i := range out {
-		out[i].Cfg.Replay = s.replay
-	}
-	return out
+	return runGrid(ctx, s.cache, s.workers, jobs)
 }
 
 // SweepGridFitted answers each job's ladder through the analytic fitted
@@ -227,5 +184,5 @@ func (s *Service) stampReplay(jobs []SweepJob) []SweepJob {
 // simulated time; fitted cells are approximations. Output is
 // deterministic and byte-identical at any worker count.
 func (s *Service) SweepGridFitted(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
-	return runGridFitted(ctx, s.cache, s.workers, s.stampReplay(jobs))
+	return runGridFitted(ctx, s.cache, s.workers, jobs)
 }

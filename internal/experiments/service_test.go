@@ -20,11 +20,11 @@ func TestServiceExtrapolateSharesMeasurements(t *testing.T) {
 	size := quickSize(b)
 	ctx := context.Background()
 
-	first, err := s.Extrapolate(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	first, err := s.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Extrapolate(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
+	second, err := s.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
 	}
 	_, missesAfterSweep := s.CacheStats()
 	// A single prediction at a ladder point must reuse the sweep's trace.
-	if _, err := s.Extrapolate(context.Background(), b, size, 2, pcxx.ActualSize, freeCfg()); err != nil {
+	if _, err := s.Predict(context.Background(), b, size, 2, pcxx.ActualSize, freeCfg()); err != nil {
 		t.Fatal(err)
 	}
 	_, misses := s.CacheStats()
 	if misses != missesAfterSweep {
-		t.Errorf("extrapolate after sweep re-measured: misses %d → %d", missesAfterSweep, misses)
+		t.Errorf("predict after sweep re-measured: misses %d → %d", missesAfterSweep, misses)
 	}
 }
 
@@ -96,14 +96,14 @@ func TestServiceCancellation(t *testing.T) {
 	b := mustBench(t, "grid")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Extrapolate(ctx, b, quickSize(b), 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, context.Canceled) {
-		t.Errorf("Extrapolate error = %v, want context.Canceled", err)
+	if _, err := s.Predict(ctx, b, quickSize(b), 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Predict error = %v, want context.Canceled", err)
 	}
 	job := SweepJob{Name: b.Name(), Size: quickSize(b), Factory: b.Factory(quickSize(b)), Cfg: freeCfg(), Procs: []int{1, 2}}
 	if _, err := s.Sweep(ctx, job); !errors.Is(err, context.Canceled) {
 		t.Errorf("Sweep error = %v, want context.Canceled", err)
 	}
-	if _, err := s.Extrapolate(context.Background(), b, quickSize(b), 0, pcxx.ActualSize, freeCfg()); err == nil {
+	if _, err := s.Predict(context.Background(), b, quickSize(b), 0, pcxx.ActualSize, freeCfg()); err == nil {
 		t.Error("zero thread count accepted")
 	}
 }

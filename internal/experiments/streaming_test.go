@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"extrap/internal/benchmarks"
 	"extrap/internal/core"
 	"extrap/internal/machine"
 	"extrap/internal/pcxx"
@@ -17,92 +18,56 @@ import (
 
 // TestStreamingServiceMatchesInMemory: the encoded-cache Service must
 // predict exactly what the in-memory Service predicts — same scalars,
-// same Result — for single predictions and for sweeps at any worker
-// count.
+// same Result — for single predictions and for sweeps, in both
+// streaming shapes: the XTRP1 default and the XTRP2 cache serve runs
+// (pattern replay). It covers every suite kernel on every machine
+// preset, and each measurement runs once per Service.
 func TestStreamingServiceMatchesInMemory(t *testing.T) {
-	b := mustBench(t, "grid")
-	size := quickSize(b)
 	ctx := context.Background()
-
+	suite := benchmarks.Suite()
+	envs := machine.Presets()
+	procs := []int{1, 2, 4}
 	mem := NewService(2, 0)
-	str := NewStreamingService(2, 0, 0)
-
-	want, err := mem.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Measured1P != want.Measured1P || got.Ideal != want.Ideal {
-		t.Errorf("scalars differ: streaming (%v, %v) vs in-memory (%v, %v)",
-			got.Measured1P, got.Ideal, want.Measured1P, want.Ideal)
-	}
-	if !reflect.DeepEqual(got.Result, want.Result) {
-		t.Errorf("results differ:\nstreaming: %+v\nin-memory: %+v", *got.Result, *want.Result)
-	}
-
-	// The memoized bytes serve repeat predictions without re-measuring.
-	if _, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := str.CacheStats(); misses != 1 {
-		t.Errorf("streaming service measured %d times, want 1", misses)
-	}
-
-	// Sweeps route through runGrid's streaming branch and must match the
-	// in-memory grid point for point.
-	sb := mustBench(t, "cyclic")
-	ssize := quickSize(sb)
-	job := SweepJob{
-		Name:    sb.Name(),
-		Size:    ssize,
-		Factory: sb.Factory(ssize),
-		Mode:    pcxx.ActualSize,
-		Cfg:     freeCfg(),
-		Procs:   []int{1, 2, 4},
-	}
-	wantPts, err := mem.Sweep(ctx, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPts, err := str.Sweep(ctx, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotPts) != len(wantPts) {
-		t.Fatalf("sweep returned %d points, want %d", len(gotPts), len(wantPts))
-	}
-	for i := range gotPts {
-		if gotPts[i] != wantPts[i] {
-			t.Errorf("point %d: streaming %+v != in-memory %+v", i, gotPts[i], wantPts[i])
+	for _, f := range []trace.Format{trace.FormatXTRP1, trace.FormatXTRP2} {
+		str := NewStreamingService(2, 0, 0)
+		if f != trace.FormatXTRP1 {
+			str.SetTraceFormat(f)
 		}
-	}
-}
-
-// TestStreamingServiceOutcomeCompat: the Outcome-shaped Extrapolate
-// entry point keeps working on a streaming Service (callers get private
-// decoded copies), predicting the same total time.
-func TestStreamingServiceOutcomeCompat(t *testing.T) {
-	b := mustBench(t, "grid")
-	size := quickSize(b)
-	ctx := context.Background()
-	str := NewStreamingService(2, 0, 0)
-
-	out, err := str.Extrapolate(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.TotalTime != pred.Result.TotalTime {
-		t.Errorf("Extrapolate predicts %v, Predict %v", out.Result.TotalTime, pred.Result.TotalTime)
-	}
-	if out.Measurement.Duration() != pred.Measured1P {
-		t.Errorf("measured time %v vs %v", out.Measurement.Duration(), pred.Measured1P)
+		for _, b := range suite {
+			t.Run(f.String()+"/"+b.Name(), func(t *testing.T) {
+				size := quickSize(b)
+				jobs := make([]SweepJob, len(envs))
+				for i, env := range envs {
+					want, err := mem.Predict(ctx, b, size, 4, pcxx.ActualSize, env.Config)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, env.Config)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: streaming (%v, %v, %+v) vs in-memory (%v, %v, %+v)", env.Name,
+							got.Measured1P, got.Ideal, *got.Result, want.Measured1P, want.Ideal, *want.Result)
+					}
+					jobs[i] = SweepJob{Name: b.Name(), Size: size, Factory: b.Factory(size), Mode: pcxx.ActualSize, Cfg: env.Config, Procs: procs}
+				}
+				want, err := mem.SweepGrid(ctx, jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := str.SweepGrid(ctx, jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("sweep grid differs:\n got %v\nwant %v", got, want)
+				}
+			})
+		}
+		if _, misses := str.CacheStats(); misses != int64(len(suite)*len(procs)) {
+			t.Errorf("%v: streaming service measured %d times, want %d", f, misses, len(suite)*len(procs))
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func runTable1(opts Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := simulate(basePt, baseCfg)
+	baseRes, err := sim.Simulate(basePt, baseCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func runTable1(opts Options) (*Output, error) {
 	err = r.each(len(variants), func(i int) error {
 		cfg := baseCfg
 		variants[i].mutate(&cfg.Barrier)
-		res, err := simulate(basePt, cfg)
+		res, err := sim.Simulate(basePt, cfg)
 		if err != nil {
 			return err
 		}

@@ -1,15 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"extrap/internal/benchmarks"
+	"extrap/internal/core"
+	"extrap/internal/experiments"
+	"extrap/internal/pcxx"
+	"extrap/internal/store"
 	"extrap/internal/trace"
 )
 
@@ -198,19 +205,44 @@ func TestJobResultSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestMixedFormatStoreAcrossRestart: a store directory written by an
-// XTRP1 server keeps working after a restart onto the XTRP2 default.
-// The finished job reads back byte-identically, its old artifacts are
-// served under their XTRP1 keys (the format fallback), and new work on
-// the restarted server persists in XTRP2 — both formats coexisting in
-// one store, with the mixed-store answers matching a fresh all-XTRP2
-// server's.
+// TestMixedFormatStoreAcrossRestart: a store directory holding legacy
+// XTRP1 artifacts — the way `extrap experiment -store` and older
+// servers wrote them — keeps serving. A job over it lists the old
+// artifacts under their XTRP1 keys (the format fallback), its new work
+// persists in XTRP2 — both formats coexisting in one store — and the
+// mixed-store answers match a fresh server's.
 func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, Config{StoreDir: dir, TraceFormat: trace.FormatXTRP1})
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := benchmarks.ByName("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz := benchmarks.Size{N: 16, Iters: 4}
+	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
+	for _, n := range []int{1, 2} {
+		tr, err := core.Measure(b.Factory(sz)(n), mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := trace.WriteBinary(&enc, tr); err != nil {
+			t.Fatal(err)
+		}
+		st.PutTrace(experiments.MeasurementKey("grid", sz, n, mopts), trace.FormatXTRP1, enc.Bytes())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	body := `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2]}`
-	status, subBody := post(t, ts1.URL+"/v1/jobs", body)
+	// Procs 1–2 replay the legacy XTRP1 artifacts; proc 4 is measured
+	// fresh and persisted in XTRP2.
+	_, ts := newTestServer(t, Config{StoreDir: dir})
+	body2 := `{"benchmark":"grid","size":16,"iters":4,"machine":"generic-dm","procs":[1,2,4]}`
+	status, subBody := post(t, ts.URL+"/v1/jobs", body2)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", status, subBody)
 	}
@@ -218,60 +250,16 @@ func TestMixedFormatStoreAcrossRestart(t *testing.T) {
 	if err := json.Unmarshal([]byte(subBody), &sub); err != nil {
 		t.Fatal(err)
 	}
-	first := waitJob(t, ts1.URL, sub.ID)
-	if first.Status != "done" {
-		t.Fatalf("job finished %+v", first)
-	}
-	wantResult, err := json.Marshal(first.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart on the same directory with the (default) XTRP2 format.
-	_, ts2 := newTestServer(t, Config{StoreDir: dir})
-	resumed := waitJob(t, ts2.URL, sub.ID)
-	if resumed.Status != "done" {
-		t.Fatalf("restarted job state %+v", resumed)
-	}
-	gotResult, err := json.Marshal(resumed.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotResult) != string(wantResult) {
-		t.Errorf("result changed across format migration:\n%s\nvs\n%s", gotResult, wantResult)
-	}
-	if len(resumed.Artifacts) != 2 {
-		t.Fatalf("artifacts = %+v, want one per ladder point", resumed.Artifacts)
-	}
-	for _, a := range resumed.Artifacts {
-		if a.Format != "xtrp1" || a.EncodedBytes <= 0 {
-			t.Errorf("artifact %+v, want pre-migration format xtrp1 and a positive size", a)
-		}
-	}
-
-	// New work on the restarted server: a different machine forces the
-	// predictions to be recomputed from the stored traces, so procs 1–2
-	// replay the old XTRP1 artifacts while proc 4 is measured fresh and
-	// persisted in XTRP2.
-	body2 := `{"benchmark":"grid","size":16,"iters":4,"machine":"generic-dm","procs":[1,2,4]}`
-	status, subBody = post(t, ts2.URL+"/v1/jobs", body2)
-	if status != http.StatusAccepted {
-		t.Fatalf("second submit: status %d: %s", status, subBody)
-	}
-	if err := json.Unmarshal([]byte(subBody), &sub); err != nil {
-		t.Fatal(err)
-	}
-	mixed := waitJob(t, ts2.URL, sub.ID)
+	mixed := waitJob(t, ts.URL, sub.ID)
 	if mixed.Status != "done" {
-		t.Fatalf("second job finished %+v", mixed)
+		t.Fatalf("job finished %+v", mixed)
 	}
 	formats := map[int]string{}
 	for _, a := range mixed.Artifacts {
 		formats[a.Procs] = a.Format
+		if a.EncodedBytes <= 0 {
+			t.Errorf("artifact %+v, want a positive size", a)
+		}
 	}
 	want := map[int]string{1: "xtrp1", 2: "xtrp1", 4: "xtrp2"}
 	for n, f := range want {
@@ -417,13 +405,12 @@ func TestJobCancel(t *testing.T) {
 	// Freeze the job at its first cell so the cancel races nothing.
 	frozen := make(chan struct{})
 	release := make(chan struct{})
-	var once bool
+	var once sync.Once
 	srv.jobs.SetCellHook(func(string, int) {
-		if !once {
-			once = true
+		once.Do(func() {
 			close(frozen)
 			<-release
-		}
+		})
 	})
 
 	body := `{"benchmark":"grid","size":16,"iters":4,"machine":"cm5","procs":[1,2,4]}`

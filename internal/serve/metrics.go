@@ -65,13 +65,6 @@ func setInt(m *expvar.Map, key string, v int64) {
 	m.Set(key, i)
 }
 
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // vars assembles the set as one expvar.Map for rendering.
 func (m *metricsSet) vars() *expvar.Map {
 	v := new(expvar.Map).Init()
@@ -122,7 +115,6 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	root.Set("compose", cmv)
 	rc := sim.ReadReplayCounters()
 	rv := s.met.simVars
-	setInt(rv, "replay_mode_event", boolInt(s.svc.Replay() == sim.ReplayEvent))
 	setInt(rv, "ff_attempts", int64(rc.Attempts))
 	setInt(rv, "fast_forwards", int64(rc.FastForwards))
 	setInt(rv, "iterations_skipped", int64(rc.IterationsSkipped))

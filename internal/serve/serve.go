@@ -43,7 +43,6 @@ import (
 	"extrap/internal/metrics"
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
-	"extrap/internal/sim"
 	"extrap/internal/store"
 	"extrap/internal/trace"
 	"extrap/internal/vtime"
@@ -85,25 +84,10 @@ type Config struct {
 	// is rejected with 413 trace_too_large (and the rejection is
 	// memoized — the measurement is deterministic, so it would exceed
 	// the budget every time). Cached measurements are held as compact
-	// TraceFormat bytes and predictions stream through bounded cursors,
+	// XTRP2 bytes and predictions stream through bounded cursors,
 	// so this budget, times CacheEntries, bounds cache memory. 0 selects
 	// the default of 256 MiB; < 0 disables the budget.
 	MaxTraceBytes int64
-	// TraceFormat selects the wire format for cached measurement
-	// traces: trace.FormatXTRP2 (the default — loop-compacted, compiled
-	// pattern replay) or trace.FormatXTRP1 (flat records). Predictions
-	// are byte-identical across formats; the knob exists for rollback
-	// and A/B comparison. Artifacts persisted under either format keep
-	// loading after a format switch — the cache falls back to the XTRP1
-	// key when the current format's artifact is absent.
-	TraceFormat trace.Format
-	// Replay selects how XTRP2-encoded measurements replay through the
-	// simulator: sim.ReplayPattern (the zero default — compiled pattern
-	// programs with steady-state fast-forward) or sim.ReplayEvent (flat
-	// event-by-event replay). Responses are byte-identical in both
-	// modes; the knob exists for rollback and A/B comparison.
-	// Fast-forward counters are exported under "sim" in /debug/vars.
-	Replay sim.ReplayMode
 	// StoreDir, when non-empty, roots the durable artifact store:
 	// measurement traces and job cell results persist there (content-
 	// addressed, checksummed), the measurement cache reads through to it,
@@ -182,9 +166,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 1
 	}
-	if cfg.TraceFormat == 0 {
-		cfg.TraceFormat = trace.FormatXTRP2
-	}
 	if cfg.Role == "" {
 		cfg.Role = RoleSolo
 	}
@@ -215,8 +196,9 @@ func New(cfg Config) (*Server, error) {
 		met: newMetricsSet(),
 		log: logger,
 	}
-	s.svc.SetTraceFormat(cfg.TraceFormat)
-	s.svc.SetReplay(cfg.Replay)
+	// Cached measurements are XTRP2 bytes, replayed as compiled pattern
+	// programs with steady-state fast-forward.
+	s.svc.SetTraceFormat(trace.FormatXTRP2)
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreBytes)
 		if err != nil {

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"extrap/internal/sim"
 )
 
 // newTestServer returns a Server with quiet logging and test-friendly
@@ -300,48 +298,37 @@ func TestDebugVarsExportsCacheHits(t *testing.T) {
 	}
 }
 
-// TestDebugVarsSimReplaySubmap: /debug/vars exposes the pattern-replay
-// kernel counters under extrap_serve.sim, and replay_mode_event tracks
-// the configured replay mode.
+// TestDebugVarsSimReplaySubmap: /debug/vars exposes exactly the
+// pattern-replay kernel counters under extrap_serve.sim.
 func TestDebugVarsSimReplaySubmap(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		mode      sim.ReplayMode
-		wantEvent int64
-	}{
-		{"pattern", sim.ReplayPattern, 0},
-		{"event", sim.ReplayEvent, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Replay: tc.mode})
-			if status, b := post(t, ts.URL+"/v1/extrapolate", extrapBody("grid", 4, "cm5")); status != http.StatusOK {
-				t.Fatalf("extrapolate: status %d: %s", status, b)
-			}
-			status, varsBody := get(t, ts.URL+"/debug/vars")
-			if status != http.StatusOK {
-				t.Fatalf("/debug/vars status %d", status)
-			}
-			var vars struct {
-				ExtrapServe struct {
-					Sim map[string]int64 `json:"sim"`
-				} `json:"extrap_serve"`
-			}
-			if err := json.Unmarshal([]byte(varsBody), &vars); err != nil {
-				t.Fatalf("/debug/vars is not JSON: %v\n%s", err, varsBody)
-			}
-			sm := vars.ExtrapServe.Sim
-			if sm == nil {
-				t.Fatalf("sim submap missing from /debug/vars\n%.400s", varsBody)
-			}
-			for _, key := range []string{"ff_attempts", "fast_forwards", "iterations_skipped", "fallbacks"} {
-				if _, ok := sm[key]; !ok {
-					t.Errorf("sim submap missing %q\n%.400s", key, varsBody)
-				}
-			}
-			if got := sm["replay_mode_event"]; got != tc.wantEvent {
-				t.Errorf("replay_mode_event = %d, want %d", got, tc.wantEvent)
-			}
-		})
+	_, ts := newTestServer(t, Config{})
+	if status, b := post(t, ts.URL+"/v1/extrapolate", extrapBody("grid", 4, "cm5")); status != http.StatusOK {
+		t.Fatalf("extrapolate: status %d: %s", status, b)
+	}
+	status, varsBody := get(t, ts.URL+"/debug/vars")
+	if status != http.StatusOK {
+		t.Fatalf("/debug/vars status %d", status)
+	}
+	var vars struct {
+		ExtrapServe struct {
+			Sim map[string]int64 `json:"sim"`
+		} `json:"extrap_serve"`
+	}
+	if err := json.Unmarshal([]byte(varsBody), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, varsBody)
+	}
+	sm := vars.ExtrapServe.Sim
+	if sm == nil {
+		t.Fatalf("sim submap missing from /debug/vars\n%.400s", varsBody)
+	}
+	keys := []string{"ff_attempts", "fast_forwards", "iterations_skipped", "fallbacks"}
+	for _, key := range keys {
+		if _, ok := sm[key]; !ok {
+			t.Errorf("sim submap missing %q\n%.400s", key, varsBody)
+		}
+	}
+	if len(sm) != len(keys) {
+		t.Errorf("sim submap has %d keys, want exactly %v: %v", len(sm), keys, sm)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"extrap/internal/trace"
 )
 
 // workloadSpec is the nested composed spec the acceptance tests sweep:
@@ -24,7 +22,7 @@ var workloadSweepBody = `{"workload":` + workloadSpec +
 // TestWorkloadSweepByteIdenticalMatrix is the tentpole acceptance test
 // for composed workloads: the same nested spec served via /v1/sweep
 // must answer byte-identically across solo vs coordinator+2-workers,
-// and XTRP1 vs XTRP2 trace caches.
+// and across sweep worker counts.
 func TestWorkloadSweepByteIdenticalMatrix(t *testing.T) {
 	_, solo := newTestServer(t, Config{Workers: 2})
 	status, want := post(t, solo.URL+"/v1/sweep", workloadSweepBody)
@@ -38,15 +36,10 @@ func TestWorkloadSweepByteIdenticalMatrix(t *testing.T) {
 	_, w1 := newWorkerServer(t, Config{Workers: 2})
 	_, w2 := newWorkerServer(t, Config{Workers: 2})
 	coordSrv, coord := newCoordinatorServer(t, Config{Workers: 2}, w1.URL, w2.URL)
+	_, seq := newTestServer(t, Config{Workers: 1})
 	variants := map[string]*httptest.Server{
 		"coordinator+2workers": coord,
-	}
-	for name, cfg := range map[string]Config{
-		"xtrp1": {Workers: 2, TraceFormat: trace.FormatXTRP1},
-		"xtrp2": {Workers: 2, TraceFormat: trace.FormatXTRP2},
-	} {
-		_, ts := newTestServer(t, cfg)
-		variants[name] = ts
+		"workers=1":            seq,
 	}
 	for name, ts := range variants {
 		status, got := post(t, ts.URL+"/v1/sweep", workloadSweepBody)

@@ -205,8 +205,8 @@ type Config struct {
 	// default pattern mode keeps the loop structure live and lets the
 	// kernel fast-forward provably steady iterations; event mode forces
 	// event-by-event replay. Predictions are byte-identical either way —
-	// the knob exists for cross-checking and diagnosis, so it is not
-	// part of any cache key.
+	// event mode is the oracle equivalence tests check pattern replay
+	// against, so it is not part of any cache key.
 	Replay ReplayMode
 }
 
@@ -227,17 +227,6 @@ func (m ReplayMode) String() string {
 		return "event"
 	}
 	return "pattern"
-}
-
-// ParseReplayMode parses "pattern" or "event".
-func ParseReplayMode(s string) (ReplayMode, error) {
-	switch s {
-	case "pattern":
-		return ReplayPattern, nil
-	case "event":
-		return ReplayEvent, nil
-	}
-	return 0, fmt.Errorf("sim: unknown replay mode %q (want pattern or event)", s)
 }
 
 // Validate checks the full configuration.

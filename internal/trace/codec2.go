@@ -189,17 +189,6 @@ func (f Format) String() string {
 	return fmt.Sprintf("format(%d)", uint8(f))
 }
 
-// ParseFormat parses a format name as accepted by -trace-format flags.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "xtrp1", "XTRP1":
-		return FormatXTRP1, nil
-	case "xtrp2", "XTRP2":
-		return FormatXTRP2, nil
-	}
-	return 0, fmt.Errorf("trace: unknown format %q (want xtrp1 or xtrp2)", s)
-}
-
 // WriteBinaryFormat encodes the trace to w in the requested format.
 func WriteBinaryFormat(w io.Writer, t *Trace, f Format) error {
 	switch f {
