@@ -242,28 +242,6 @@ func BenchmarkSimulation(b *testing.B) {
 	b.ReportMetric(float64(pt.Events())/1000, "kevents")
 }
 
-// BenchmarkSimulationArena is BenchmarkSimulation with the dense
-// simulator state reused through a sim.Arena across runs — the shape
-// sequential in-memory grid cells now take via the runner's arena pool.
-// The B/op delta against BenchmarkSimulation is the pooled-slice
-// saving (~486 KB and ~70 allocs per cell without the arena).
-func BenchmarkSimulationArena(b *testing.B) {
-	tr := measureGrid(b, 16)
-	pt, err := translate.Translate(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := machine.GenericDM().Config
-	arena := sim.NewArena()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateArenaContext(context.Background(), arena, pt, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pt.Events())/1000, "kevents")
-}
-
 // sweepBatchGrid builds the machine-parameter what-if grid for
 // BenchmarkSweepBatch: 24 GenericDM variants on one processor with the
 // model barrier, varying MIPS ratio × barrier cost. Every cell shares
@@ -300,20 +278,23 @@ func sweepBatchGrid(b *testing.B) []experiments.SweepJob {
 }
 
 // BenchmarkSweepBatch measures sweep throughput over the 24-cell
-// machine-parameter grid on the streaming service, one worker. The
-// sequential arm replays decode→translate→simulate per cell from XTRP1
-// bytes; the xtrp2-pattern arm is the configuration `extrap serve` runs
-// by default — XTRP2 cached traces under pattern replay, where the 24
-// cells share one compiled trace.
+// machine-parameter grid on a warm Service, one worker: every cell
+// replays the one compiled trace the cache holds. The xtrp2-pattern arm
+// is the configuration `extrap serve` runs — pattern replay with
+// steady-state fast-forward; the sequential arm replays every cell
+// event by event (sim.ReplayEvent, the equivalence oracle), so each
+// cell pays the full translate and simulate.
 func BenchmarkSweepBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
-		format trace.Format // 0 keeps the streaming service's XTRP1
-	}{{"sequential", 0}, {"xtrp2-pattern", trace.FormatXTRP2}} {
+		replay sim.ReplayMode
+	}{{"sequential", sim.ReplayEvent}, {"xtrp2-pattern", sim.ReplayPattern}} {
 		b.Run(bc.name, func(b *testing.B) {
-			svc := experiments.NewStreamingService(1, 64, 0)
-			svc.SetTraceFormat(bc.format)
+			svc := experiments.NewService(1, 64, 0)
 			jobs := sweepBatchGrid(b)
+			for i := range jobs {
+				jobs[i].Cfg.Replay = bc.replay
+			}
 			ctx := context.Background()
 			if _, err := svc.SweepGrid(ctx, jobs); err != nil {
 				b.Fatal(err)
@@ -332,13 +313,10 @@ func BenchmarkSweepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTranslateStream drains a streaming translation over the
-// compiled XTRP2 cursor of the 16-thread Grid 32×60 measurement that
-// BenchmarkSweepBatch replays: pattern decode plus translate, with no
-// simulation. Every sweep cell on the serve path pays this stage, even
-// when its cells share one compile. Cursors are drained round-robin,
-// one event per thread per round, as the simulator interleaves them.
-func BenchmarkTranslateStream(b *testing.B) {
+// gridXTRP2 measures the 16-thread Grid 32×60 program and returns the
+// trace and its XTRP2 encoding.
+func gridXTRP2(b *testing.B) (*Trace, []byte) {
+	b.Helper()
 	g, err := benchmarks.ByName("grid")
 	if err != nil {
 		b.Fatal(err)
@@ -351,7 +329,37 @@ func BenchmarkTranslateStream(b *testing.B) {
 	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		b.Fatal(err)
 	}
-	ct, err := trace.CompileBinary(bytes.NewReader(buf.Bytes()))
+	return tr, buf.Bytes()
+}
+
+// BenchmarkCompile times the compile stage alone: CompileBinary parsing
+// the XTRP2 bytes of the 16-thread Grid 32×60 measurement (the trace
+// BenchmarkSweepBatch and BenchmarkTranslateStream replay) into its
+// pattern table and replay program, with no translate or simulate. The
+// trace cache pays it once per measurement per compiled-tier residency.
+func BenchmarkCompile(b *testing.B) {
+	_, enc := gridXTRP2(b)
+	var ct *trace.CompiledTrace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if ct, err = trace.CompileBinary(bytes.NewReader(enc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ct.Events())/1e3, "kevents")
+}
+
+// BenchmarkTranslateStream drains a streaming translation over the
+// compiled XTRP2 cursor of the 16-thread Grid 32×60 measurement that
+// BenchmarkSweepBatch replays: pattern decode plus translate, with no
+// simulation. Every replay of a fast-forwardable trace pays this stage
+// for the iterations it does not skip. Cursors are drained round-robin,
+// one event per thread per round, as the simulator interleaves them.
+func BenchmarkTranslateStream(b *testing.B) {
+	tr, enc := gridXTRP2(b)
+	ct, err := trace.CompileBinary(bytes.NewReader(enc))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -417,7 +425,7 @@ func sweepFittedJob(b *testing.B) experiments.SweepJob {
 }
 
 // BenchmarkSweepFitted measures dense-ladder sweep throughput, exact
-// versus fitted, on the streaming service with warm measurement caches
+// versus fitted, on a Service with warm measurement and compiled caches
 // — so the arms isolate per-cell simulation against sparse-anchor
 // simulation plus the fit's arithmetic. cells/s counts ladder cells
 // answered, whatever their provenance; the fitted arm's advantage is
@@ -428,7 +436,7 @@ func BenchmarkSweepFitted(b *testing.B) {
 		fitted bool
 	}{{"exact", false}, {"fitted", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			svc := experiments.NewStreamingService(1, 64, 0)
+			svc := experiments.NewService(1, 64, 0)
 			jobs := []experiments.SweepJob{sweepFittedJob(b)}
 			ctx := context.Background()
 			run := func() ([][]metrics.Point, error) {

@@ -726,7 +726,7 @@ func runWorkloadSweep(opts experiments.Options, path string, w io.Writer) error 
 		return fmt.Errorf("experiment: workload %s: %w", path, err)
 	}
 
-	svc := experiments.NewService(opts.Workers, 64)
+	svc := experiments.NewService(opts.Workers, 64, 0)
 	if opts.Backend != nil {
 		svc.SetBackend(opts.Backend)
 	}

@@ -79,7 +79,7 @@ func TestXTRP2CompressionOnBenchmarks(t *testing.T) {
 // and barrier algorithm tried, the streaming prediction from XTRP2
 // bytes equals — field for field — the prediction from XTRP1 bytes and
 // the in-memory pipeline's, and so do replays that share one compile
-// of the XTRP2 bytes across every config.
+// (core.Compile) of either encoding across every config.
 func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 	machines := []sim.Config{
 		machine.GenericDM().Config,
@@ -98,9 +98,13 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		ct, err := core.CompileEncoded(enc2)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
+		var compiled []*core.Compiled
+		for _, enc := range [][]byte{enc1, enc2} {
+			c, err := core.Compile(ctx, enc)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", name, err)
+			}
+			compiled = append(compiled, c)
 		}
 		for i, cfg := range cfgs {
 			p1, err := core.ExtrapolateEncoded(ctx, enc1, cfg)
@@ -114,12 +118,14 @@ func TestPredictionsByteIdenticalAcrossFormats(t *testing.T) {
 			if !reflect.DeepEqual(p1, p2) {
 				t.Errorf("%s cfg %d: XTRP1 and XTRP2 streaming predictions differ:\n%+v\nvs\n%+v", name, i, p1, p2)
 			}
-			shared, err := core.ExtrapolateCompiled(ctx, enc2, ct, cfg)
-			if err != nil {
-				t.Fatalf("%s cfg %d: shared compile: %v", name, i, err)
-			}
-			if !reflect.DeepEqual(p1, shared) {
-				t.Errorf("%s cfg %d: shared-compile prediction differs from XTRP1", name, i)
+			for f, c := range compiled {
+				shared, err := c.Extrapolate(ctx, cfg)
+				if err != nil {
+					t.Fatalf("%s cfg %d: shared compile of XTRP%d: %v", name, i, f+1, err)
+				}
+				if !reflect.DeepEqual(p1, shared) {
+					t.Errorf("%s cfg %d: shared compile of XTRP%d predicts differently from the XTRP1 stream", name, i, f+1)
+				}
 			}
 			oc, err := core.Extrapolate(tr, cfg)
 			if err != nil {

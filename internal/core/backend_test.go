@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
+	"extrap/internal/sim"
 	"extrap/internal/trace"
 )
 
@@ -41,7 +43,7 @@ func (b *fakeBackend) PutTrace(key CacheKey, format trace.Format, enc []byte) {
 }
 
 func (b *fakeBackend) stored(key CacheKey) ([]byte, bool) {
-	return b.storedFormat(key, trace.FormatXTRP1)
+	return b.storedFormat(key, trace.FormatXTRP2)
 }
 
 func (b *fakeBackend) storedFormat(key CacheKey, format trace.Format) ([]byte, bool) {
@@ -57,10 +59,10 @@ func (b *fakeBackend) counts() (gets, puts int) {
 	return b.gets, b.puts
 }
 
-func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
+func encodeTrace(t *testing.T, tr *trace.Trace, f trace.Format) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, tr); err != nil {
+	if err := trace.WriteBinaryFormat(&buf, tr, f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -71,7 +73,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 // must not detach a later lookup from it — the flights registry hands
 // back the same entry until it settles.
 func TestEntrySurvivesEvictionViaFlights(t *testing.T) {
-	c := NewBoundedTraceCache(1)
+	c := NewTraceCache(1, 0)
 	key := CacheKey{Bench: "flight", Threads: 2}
 	e1 := c.entry(key)
 	// Churn on other keys pushes key out of the single-entry LRU.
@@ -94,7 +96,7 @@ func TestEntrySurvivesEvictionViaFlights(t *testing.T) {
 // other keys — a concurrent request for the same key joins it instead
 // of starting a second measurement.
 func TestSingleflightUnderEviction(t *testing.T) {
-	c := NewBoundedTraceCache(1)
+	c := NewTraceCache(1, 0)
 	key := CacheKey{Bench: "flight", Threads: 4}
 
 	started := make(chan struct{})
@@ -114,20 +116,20 @@ func TestSingleflightUnderEviction(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*trace.Trace, 2)
+	results := make([][]byte, 2)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tr, err := c.Measure(key, measure)
+		enc, err := c.Encoded(key, measure)
 		if err != nil {
 			t.Error(err)
 		}
-		results[0] = tr
+		results[0] = enc
 	}()
 	<-started
 
 	// Evict the in-flight entry, then issue a second request for it.
-	if _, err := c.Measure(CacheKey{Bench: "churn", Threads: 2}, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(CacheKey{Bench: "churn", Threads: 2}, func() (*trace.Trace, error) {
 		return Measure(testProgram(2), MeasureOptions{})
 	}); err != nil {
 		t.Fatal(err)
@@ -136,11 +138,11 @@ func TestSingleflightUnderEviction(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tr, err := c.Measure(key, measure)
+		enc, err := c.Encoded(key, measure)
 		if err != nil {
 			t.Error(err)
 		}
-		results[1] = tr
+		results[1] = enc
 	}()
 	close(release)
 	wg.Wait()
@@ -148,8 +150,8 @@ func TestSingleflightUnderEviction(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("measurement ran %d times, want 1 (second request should join the evicted flight)", calls)
 	}
-	if results[0] != results[1] {
-		t.Error("concurrent requests did not share the single measurement's trace")
+	if len(results[0]) == 0 || &results[0][0] != &results[1][0] {
+		t.Error("concurrent requests did not share the single measurement's bytes")
 	}
 	c.mu.Lock()
 	leaked := len(c.flights)
@@ -163,10 +165,10 @@ func TestSingleflightUnderEviction(t *testing.T) {
 // memoized, and its flight must still be unregistered — otherwise every
 // never-retried key leaks a map entry.
 func TestFlightsSettledAfterContextAbort(t *testing.T) {
-	c := NewBoundedTraceCache(2)
+	c := NewTraceCache(2, 0)
 	key := CacheKey{Bench: "abort", Threads: 2}
 	var calls int
-	if _, err := c.Measure(key, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(key, func() (*trace.Trace, error) {
 		calls++
 		return nil, context.Canceled
 	}); !errors.Is(err, context.Canceled) {
@@ -179,7 +181,7 @@ func TestFlightsSettledAfterContextAbort(t *testing.T) {
 		t.Errorf("%d flights left registered after a context-aborted measurement", leaked)
 	}
 	// The abort was not memoized: the next caller re-measures.
-	if _, err := c.Measure(key, func() (*trace.Trace, error) {
+	if _, err := c.Encoded(key, func() (*trace.Trace, error) {
 		calls++
 		return Measure(testProgram(2), MeasureOptions{})
 	}); err != nil {
@@ -191,15 +193,17 @@ func TestFlightsSettledAfterContextAbort(t *testing.T) {
 }
 
 // TestBackendWriteThrough: a fresh measurement is written through to the
-// backend as decodable XTRP1 bytes matching the trace's own encoding.
+// backend as decodable XTRP2 bytes matching the trace's own encoding.
 func TestBackendWriteThrough(t *testing.T) {
 	b := newFakeBackend()
-	c := NewTraceCache()
+	c := NewTraceCache(0, 0)
 	c.SetBackend(b)
 	key := CacheKey{Bench: "wt", Threads: 4}
-	tr, err := c.Measure(key, func() (*trace.Trace, error) {
-		return Measure(testProgram(4), MeasureOptions{})
-	})
+	tr, err := Measure(testProgram(4), MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := c.Encoded(key, func() (*trace.Trace, error) { return tr, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,68 +211,73 @@ func TestBackendWriteThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh measurement was not written through to the backend")
 	}
-	if want := encodeTrace(t, tr); !bytes.Equal(enc, want) {
-		t.Error("backend bytes differ from the trace's own XTRP1 encoding")
+	if want := encodeTrace(t, tr, trace.FormatXTRP2); !bytes.Equal(enc, want) || !bytes.Equal(served, want) {
+		t.Error("backend or served bytes differ from the trace's own XTRP2 encoding")
 	}
-	if _, err := trace.ReadBinary(bytes.NewReader(enc)); err != nil {
+	if _, err := trace.ReadBinaryAny(bytes.NewReader(enc)); err != nil {
 		t.Fatalf("backend bytes do not decode: %v", err)
 	}
 }
 
 // TestBackendServesColdCache: a cold cache sharing the backend serves
-// the durable artifact instead of re-measuring, in both plain and
-// encoded modes, with byte-identical results.
+// the durable artifact instead of re-measuring — bytes and compiled
+// replays identical to the warm cache's.
 func TestBackendServesColdCache(t *testing.T) {
 	b := newFakeBackend()
-	warm := NewTraceCache()
+	ctx := context.Background()
+	warm := NewTraceCache(0, 0)
 	warm.SetBackend(b)
 	key := CacheKey{Bench: "cold", Threads: 4}
 	measure := func() (*trace.Trace, error) {
 		return Measure(testProgram(4), MeasureOptions{})
 	}
-	warmTr, err := warm.Measure(key, measure)
+	want, err := warm.Encoded(key, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeTrace(t, warmTr)
+	warmComp, err := warm.Compiled(ctx, key, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	cold := NewTraceCache()
+	cold := NewTraceCache(4, 0)
 	cold.SetBackend(b)
-	coldTr, err := cold.Measure(key, func() (*trace.Trace, error) {
+	coldComp, err := cold.Compiled(ctx, key, func() (*trace.Trace, error) {
 		t.Error("cold cache re-measured despite a backend hit")
 		return measure()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := encodeTrace(t, coldTr); !bytes.Equal(got, want) {
-		t.Error("plain-mode backend hit decoded to a different trace")
-	}
-	if _, misses := cold.Stats(); misses != 0 {
-		t.Errorf("cold cache recorded %d measurement misses, want 0", misses)
-	}
-
-	coldEnc := NewEncodedTraceCache(4, 0)
-	coldEnc.SetBackend(b)
-	enc, err := coldEnc.Encoded(key, func() (*trace.Trace, error) {
-		t.Error("encoded cold cache re-measured despite a backend hit")
-		return measure()
-	})
+	enc, err := cold.Encoded(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, want) {
-		t.Error("encoded-mode backend hit returned different bytes")
+		t.Error("backend hit returned different bytes")
+	}
+	if _, misses := cold.Stats(); misses != 0 {
+		t.Errorf("cold cache recorded %d measurement misses, want 0", misses)
+	}
+	p1, err := warmComp.Extrapolate(ctx, freeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := coldComp.Extrapolate(ctx, freeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p1, p2) {
+		t.Error("cold cache's replay differs from the warm cache's")
 	}
 }
 
-// TestEncodedWriteThroughAndBudget: encoded mode writes fresh encodings
-// through, and a backend artifact exceeding the per-trace budget is
-// memoized as ErrTraceTooLarge — deterministically too large, never
-// half-served.
+// TestEncodedWriteThroughAndBudget: fresh encodings are written through,
+// and a backend artifact exceeding the per-trace budget is memoized as
+// ErrTraceTooLarge — deterministically too large, never half-served.
 func TestEncodedWriteThroughAndBudget(t *testing.T) {
 	b := newFakeBackend()
-	warm := NewEncodedTraceCache(4, 0)
+	warm := NewTraceCache(4, 0)
 	warm.SetBackend(b)
 	key := CacheKey{Bench: "budget", Threads: 4}
 	enc, err := warm.Encoded(key, func() (*trace.Trace, error) {
@@ -285,7 +294,7 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 		t.Error("written-through bytes differ from the served encoding")
 	}
 
-	tight := NewEncodedTraceCache(4, int64(len(enc))-1)
+	tight := NewTraceCache(4, int64(len(enc))-1)
 	tight.SetBackend(b)
 	for i := 0; i < 2; i++ {
 		if _, err := tight.Encoded(key, func() (*trace.Trace, error) {
@@ -295,20 +304,23 @@ func TestEncodedWriteThroughAndBudget(t *testing.T) {
 			t.Fatalf("call %d: got %v, want ErrTraceTooLarge", i, err)
 		}
 	}
+	// The warm cache's miss consults the v2 key and the legacy v1 key;
+	// the tight cache hits v2 once and memoizes the budget failure.
 	gets, _ := b.counts()
-	if gets != 2 {
-		t.Errorf("backend consulted %d times, want 2 (one per cache, budget failure memoized)", gets)
+	if gets != 3 {
+		t.Errorf("backend consulted %d times, want 3 (warm miss on both keys, one tight hit, budget failure memoized)", gets)
 	}
 }
 
-// TestXTRP2CacheFormat: an XTRP2-format cache writes XTRP2 artifacts
-// under the v2 key, serves them back to a cold cache, and falls back to
-// a store's pre-migration XTRP1 artifact when no v2 artifact exists —
-// with byte-identical decoded traces throughout.
+// TestXTRP2CacheFormat: the cache writes XTRP2 artifacts under the v2
+// key only, serves them back to a cold cache, and falls back to a
+// store's pre-migration XTRP1 artifact when no v2 artifact exists —
+// serving those bytes as-is, and replaying them exactly as the
+// event-replay oracle replays the XTRP2 encoding.
 func TestXTRP2CacheFormat(t *testing.T) {
 	b := newFakeBackend()
-	warm := NewEncodedTraceCache(4, 0)
-	warm.SetFormat(trace.FormatXTRP2)
+	ctx := context.Background()
+	warm := NewTraceCache(4, 0)
 	warm.SetBackend(b)
 	key := CacheKey{Bench: "fmt2", Threads: 4}
 	measure := func() (*trace.Trace, error) {
@@ -319,21 +331,20 @@ func TestXTRP2CacheFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := trace.NewDecoder2(bytes.NewReader(enc)); err != nil {
-		t.Fatalf("XTRP2-format cache served non-XTRP2 bytes: %v", err)
+		t.Fatalf("cache served non-XTRP2 bytes: %v", err)
 	}
 	if _, ok := b.storedFormat(key, trace.FormatXTRP2); !ok {
 		t.Fatal("fresh XTRP2 encoding was not written through under the v2 key")
 	}
 	if _, ok := b.storedFormat(key, trace.FormatXTRP1); ok {
-		t.Fatal("XTRP2-format cache wrote an artifact under the v1 key")
+		t.Fatal("cache wrote an artifact under the v1 key")
 	}
 	cs := warm.Compression()
 	if cs.RawBytes <= 0 || cs.EncodedBytes <= 0 {
 		t.Fatalf("compression stats did not advance: %+v", cs)
 	}
 
-	cold := NewEncodedTraceCache(4, 0)
-	cold.SetFormat(trace.FormatXTRP2)
+	cold := NewTraceCache(4, 0)
 	cold.SetBackend(b)
 	got, err := cold.Encoded(key, func() (*trace.Trace, error) {
 		t.Error("cold cache re-measured despite a v2 backend hit")
@@ -346,42 +357,46 @@ func TestXTRP2CacheFormat(t *testing.T) {
 		t.Fatal("cold v2 hit returned different bytes")
 	}
 
-	// A store holding only the XTRP1 artifact (written before a format
-	// migration) still serves an XTRP2-format cache via fallback.
+	// A store holding only the XTRP1 artifact (written before the format
+	// migration) still serves the cache via fallback.
+	tr, err := trace.ReadBinaryAny(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	old := newFakeBackend()
-	warm1 := NewEncodedTraceCache(4, 0)
-	warm1.SetBackend(old)
-	want1, err := warm1.Encoded(key, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := NewEncodedTraceCache(4, 0)
-	mixed.SetFormat(trace.FormatXTRP2)
+	legacy := encodeTrace(t, tr, trace.FormatXTRP1)
+	old.PutTrace(key, trace.FormatXTRP1, legacy)
+	mixed := NewTraceCache(4, 0)
 	mixed.SetBackend(old)
-	got1, err := mixed.Encoded(key, func() (*trace.Trace, error) {
-		t.Error("XTRP2 cache re-measured despite an XTRP1 fallback artifact")
+	noMeasure := func() (*trace.Trace, error) {
+		t.Error("cache re-measured despite an XTRP1 fallback artifact")
 		return measure()
-	})
+	}
+	got1, err := mixed.Encoded(key, noMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got1, want1) {
+	if !bytes.Equal(got1, legacy) {
 		t.Fatal("fallback hit did not serve the stored XTRP1 bytes as-is")
 	}
-	tr1, err := trace.ReadBinaryAny(bytes.NewReader(want1))
+	comp, err := mixed.Compiled(ctx, key, noMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := trace.ReadBinaryAny(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr1.Events) != len(tr2.Events) {
-		t.Fatalf("formats decode to different traces: %d vs %d events", len(tr1.Events), len(tr2.Events))
-	}
-	for i := range tr1.Events {
-		if tr1.Events[i] != tr2.Events[i] {
-			t.Fatalf("event %d differs between formats", i)
+	for _, mode := range []sim.ReplayMode{sim.ReplayPattern, sim.ReplayEvent} {
+		cfg := freeConfig()
+		cfg.Replay = mode
+		p, err := comp.Extrapolate(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Replay = sim.ReplayEvent
+		want, err := ExtrapolateEncoded(ctx, enc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("%v replay of the XTRP1 fallback differs from the event-replay oracle on the XTRP2 bytes", mode)
 		}
 	}
 }

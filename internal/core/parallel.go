@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"errors"
@@ -68,21 +67,18 @@ type CacheKey struct {
 	Opts MeasureOptions
 }
 
-// cacheEntry holds one memoized measurement and its lazily computed
-// translation, guarded by its own mutex so concurrent requests for the
-// same key share one measurement run (singleflight) while requests for
-// other keys proceed independently. In an encoded cache, enc holds the
-// compact binary trace instead of tr: bytes are immutable, so aliasing
-// between concurrent consumers is impossible by construction.
+// cacheEntry holds one memoized measurement as immutable encoded bytes
+// (aliasing between concurrent consumers is impossible by
+// construction), guarded by its own mutex so concurrent requests for
+// the same key share one measurement run and one compile (singleflight)
+// while requests for other keys proceed independently. comp is the
+// entry's place in the compiled tier, guarded by the cache's mutex.
 type cacheEntry struct {
-	mu         sync.Mutex
-	measured   bool
-	tr         *trace.Trace
-	enc        []byte
-	err        error
-	translated bool
-	pt         *translate.ParallelTrace
-	terr       error
+	mu       sync.Mutex
+	measured bool
+	enc      []byte
+	err      error
+	comp     *Compiled
 }
 
 // lruNode is what the recency list holds: the key (for map removal on
@@ -110,89 +106,92 @@ type TraceBackend interface {
 	PutTrace(key CacheKey, format trace.Format, enc []byte)
 }
 
-// TraceCache memoizes measurement traces (and their translations) across
-// the cells of a parameter-grid experiment. Grids vary only the
-// simulation Config between cells, so each distinct measurement runs
-// once and is then simulated under every configuration — which is safe
-// because Translate and Simulate treat their inputs as read-only (a
-// guard test enforces this).
+// CompiledBudget bounds the heap bytes of the compiled traces a
+// TraceCache keeps (see Compiled.Size). It covers the hot set every
+// workload replays repeatedly — the default experiment grids, a warm
+// what-if set, one dense fitted ladder — while bounding what a stream of
+// never-repeated measurements can pin.
+const CompiledBudget = 3 << 19 // 1.5 MiB
+
+// TraceCache memoizes measurements across the cells of parameter grids
+// and the requests of a server. Grids vary only the simulation Config
+// between cells, so each distinct measurement runs once and is then
+// simulated under every configuration.
 //
-// A TraceCache is safe for concurrent use. Cached traces are shared, not
-// copied: callers must not mutate them.
+// It keeps two tiers of one entry per measurement. Every entry holds
+// the measurement's XTRP2 bytes: that is what is measured into,
+// written through to a durable backend, and evicted by entry count. A
+// hot set of entries also holds the Compiled form — parsed and
+// translated once — which every replay of the measurement shares; that
+// tier is bounded by CompiledBudget heap bytes and recompiles from the
+// bytes after eviction.
+//
+// A TraceCache is safe for concurrent use.
 type TraceCache struct {
 	mu      sync.Mutex
 	max     int
-	encoded bool  // cache compact encoded bytes instead of shared traces
 	maxB    int64 // per-trace encoded-size budget (0 = unlimited)
-	format  trace.Format
 	entries map[CacheKey]*list.Element
 	order   *list.List // front = most recently used; values are *lruNode
 	// flights tracks entries whose first measurement is still running,
 	// keyed independently of the LRU so eviction pressure cannot detach
 	// concurrent requests from an in-progress measurement (see entry).
 	flights map[CacheKey]*cacheEntry
-	backend TraceBackend
-	lookups atomic.Int64
-	misses  atomic.Int64
+	// The compiled tier: how many entries hold a Compiled, their summed
+	// Compiled.Size, and its bound. It evicts in the entries' own
+	// recency order.
+	compEntries int64
+	compBytes   int64
+	compBudget  int64
+	backend     TraceBackend
+	lookups     atomic.Int64
+	misses      atomic.Int64
+	compHits    atomic.Int64
+	compiles    atomic.Int64
 	// Compression accounting across fresh encodes: rawBytes is what the
-	// flat XTRP1 encoding would have cost, encBytes what the configured
-	// format actually cost.
+	// flat XTRP1 encoding would have cost, encBytes what XTRP2 actually
+	// cost.
 	rawBytes atomic.Int64
 	encBytes atomic.Int64
 }
 
-// ErrTraceTooLarge reports a measurement whose encoded size exceeds an
-// encoded cache's per-trace budget. Serving layers map it to a
+// ErrTraceTooLarge reports a measurement whose encoded size exceeds a
+// cache's per-trace budget. Serving layers map it to a
 // payload-too-large response.
 var ErrTraceTooLarge = errors.New("core: measured trace exceeds the trace size budget")
 
-// NewTraceCache returns an empty unbounded cache — the right shape for a
-// one-shot experiment run, whose key population is fixed by the grid.
-func NewTraceCache() *TraceCache {
-	return NewBoundedTraceCache(0)
-}
-
-// NewBoundedTraceCache returns a cache holding at most maxEntries
-// distinct measurements, evicting the least recently used beyond that
-// (maxEntries ≤ 0 means unbounded). Long-lived serving paths must use a
-// bound: cache keys derive from client-controlled request parameters, so
-// an unbounded cache lets a client iterating sizes grow server memory
-// without limit.
-func NewBoundedTraceCache(maxEntries int) *TraceCache {
+// NewTraceCache returns a cache holding at most maxEntries distinct
+// measurements, evicting the least recently used beyond that
+// (maxEntries ≤ 0 means unbounded — the right shape for a one-shot
+// experiment run, whose key population is fixed by the grid). Long-lived
+// serving paths must use a bound: cache keys derive from
+// client-controlled request parameters, so an unbounded cache lets a
+// client iterating sizes grow server memory without limit.
+// maxTraceBytes (> 0) rejects any measurement whose XTRP2 encoding
+// exceeds it with ErrTraceTooLarge.
+func NewTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
 	return &TraceCache{
-		max:     maxEntries,
-		entries: make(map[CacheKey]*list.Element),
-		order:   list.New(),
-		flights: make(map[CacheKey]*cacheEntry),
+		max:        maxEntries,
+		maxB:       maxTraceBytes,
+		entries:    make(map[CacheKey]*list.Element),
+		order:      list.New(),
+		flights:    make(map[CacheKey]*cacheEntry),
+		compBudget: CompiledBudget,
 	}
 }
 
 // SetBackend attaches a durable tier behind the memory cache: misses
 // consult the backend before re-measuring, and fresh measurements are
-// written through encoded in the cache's Format. Attach the backend
-// before the cache is shared across goroutines (typically right after
-// construction); it must not change while lookups are running.
+// written through as XTRP2. Attach the backend before the cache is
+// shared across goroutines (typically right after construction); it
+// must not change while lookups are running.
 func (c *TraceCache) SetBackend(b TraceBackend) { c.backend = b }
-
-// SetFormat selects the binary format the cache encodes fresh
-// measurements into (and the key scheme it consults the backend under).
-// The zero value means XTRP1. Like SetBackend, set it before the cache
-// is shared across goroutines.
-func (c *TraceCache) SetFormat(f trace.Format) { c.format = f }
-
-// Format returns the configured encoding format (XTRP1 if unset).
-func (c *TraceCache) Format() trace.Format {
-	if c.format == 0 {
-		return trace.FormatXTRP1
-	}
-	return c.format
-}
 
 // CompressionStats reports the cache's encoding economics across fresh
 // measurements: RawBytes is what the flat 37-byte-per-event XTRP1
-// encoding would occupy, EncodedBytes what the configured format
-// actually produced. Backend hits are excluded (their raw size is
-// unknown without a decode).
+// encoding would occupy, EncodedBytes what XTRP2 actually produced.
+// Backend hits are excluded (their raw size is unknown without a
+// decode).
 type CompressionStats struct {
 	RawBytes     int64
 	EncodedBytes int64
@@ -203,46 +202,21 @@ func (c *TraceCache) Compression() CompressionStats {
 	return CompressionStats{RawBytes: c.rawBytes.Load(), EncodedBytes: c.encBytes.Load()}
 }
 
-// backendGet looks the key up in the durable tier under the cache's
-// format, falling back to the XTRP1 key so stores written before a
-// format migration keep their value: decode auto-detects by magic, so
-// fallback bytes are served as-is.
+// backendGet looks the key up in the durable tier under XTRP2, falling
+// back to the XTRP1 key so stores written before the format migration
+// keep their value: decode auto-detects by magic, so fallback bytes are
+// served as-is.
 func (c *TraceCache) backendGet(key CacheKey) ([]byte, bool) {
-	f := c.Format()
-	if enc, ok := c.backend.GetTrace(key, f); ok {
+	if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP2); ok {
 		return enc, true
 	}
-	if f != trace.FormatXTRP1 {
-		if enc, ok := c.backend.GetTrace(key, trace.FormatXTRP1); ok {
-			return enc, true
-		}
-	}
-	return nil, false
+	return c.backend.GetTrace(key, trace.FormatXTRP1)
 }
-
-// NewEncodedTraceCache returns a bounded cache that stores measurements
-// as compact encoded bytes (in the cache's Format, XTRP1 unless set)
-// rather than live *trace.Trace values. Consumers decode their own
-// streaming cursor from the immutable bytes, so a hit can never be
-// mutated by another cell, and resident size per entry is the encoding
-// instead of the in-memory event slice plus translation. maxTraceBytes
-// (> 0) rejects any measurement whose encoding exceeds the budget with
-// ErrTraceTooLarge.
-func NewEncodedTraceCache(maxEntries int, maxTraceBytes int64) *TraceCache {
-	c := NewBoundedTraceCache(maxEntries)
-	c.encoded = true
-	c.maxB = maxTraceBytes
-	return c
-}
-
-// Streams reports whether the cache stores encoded bytes (the streaming
-// serving mode) rather than shared in-memory traces.
-func (c *TraceCache) Streams() bool { return c.encoded }
 
 // entry returns (creating if needed) the entry for key, refreshing its
-// recency and evicting the least recently used entry past the bound.
-// An evicted entry stays valid for callers already holding it; its next
-// lookup simply re-measures.
+// recency and evicting the least recently used entry past the bound —
+// its compiled form with it. An evicted entry stays valid for callers
+// already holding it; its next lookup simply re-measures.
 //
 // Measurement is single-flight per key even under eviction pressure: a
 // newly created entry is registered in c.flights until its first
@@ -268,7 +242,9 @@ func (c *TraceCache) entry(key CacheKey) *cacheEntry {
 	if c.max > 0 && c.order.Len() > c.max {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruNode).key)
+		n := oldest.Value.(*lruNode)
+		delete(c.entries, n.key)
+		c.dropCompiledLocked(n.e)
 	}
 	return e
 }
@@ -292,65 +268,28 @@ func (c *TraceCache) Len() int {
 	return c.order.Len()
 }
 
-// measure runs or reuses the memoized measurement; the caller holds
-// e.mu. A configured backend is consulted before measuring — a durable
-// hit decodes the stored bytes instead of re-running the program — and
-// fresh measurements are written through. Context cancellations are NOT
-// memoized: an aborted measurement returns its error to that caller
-// only, and the next caller re-runs the measurement under its own
-// deadline — one impatient request never poisons the cache for everyone
-// else. Deterministic failures (bad program, malformed trace) are
-// memoized like successes.
-func (c *TraceCache) measureLocked(key CacheKey, e *cacheEntry, measure func() (*trace.Trace, error)) (*trace.Trace, error) {
+// encodedLocked runs or reuses the memoized measurement; the caller
+// holds e.mu. A configured backend is consulted before measuring (the
+// stored artifact IS the encoded form, so a durable hit costs no decode
+// at all), and fresh encodings are written through. The measured trace
+// is immediately encoded and released — only the compact immutable
+// bytes stay resident. When compiled is set, a fresh measurement is
+// also compiled from the encoder's own pattern program or, when that
+// cannot fast-forward, from the live trace — sparing a parse of the
+// bytes just written. The returned Compiled is nil otherwise.
+//
+// Context cancellations are NOT memoized: an aborted measurement
+// returns its error to that caller only, and the next caller re-runs
+// the measurement under its own deadline — one impatient request never
+// poisons the cache for everyone else. Deterministic failures (bad
+// program, malformed trace) are memoized like successes, and so is a
+// trace past the size budget, as an ErrTraceTooLarge failure (the
+// measurement is deterministic, so it would exceed the budget every
+// time) — including one arriving from the backend, whose encoded size
+// is just as deterministic.
+func (c *TraceCache) encodedLocked(ctx context.Context, key CacheKey, e *cacheEntry, measure func() (*trace.Trace, error), compiled bool) ([]byte, *Compiled, error) {
 	if e.measured {
-		return e.tr, e.err
-	}
-	if c.backend != nil {
-		if enc, ok := c.backendGet(key); ok {
-			if tr, err := trace.ReadBinaryAny(bytes.NewReader(enc)); err == nil {
-				e.tr, e.err, e.measured = tr, nil, true
-				c.settle(key, e)
-				return e.tr, nil
-			}
-			// An artifact that passed the store's checksum but fails to
-			// decode means a format skew, not corruption; fall through to
-			// a fresh measurement (and overwrite it below).
-		}
-	}
-	c.misses.Add(1)
-	tr, err := measure()
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		c.settle(key, e)
-		return nil, err
-	}
-	e.tr, e.err, e.measured = tr, err, true
-	if err == nil && c.backend != nil {
-		raw := trace.EncodedSize(tr.Header(), len(tr.Events))
-		var buf bytes.Buffer
-		buf.Grow(int(raw))
-		if werr := trace.WriteBinaryFormat(&buf, tr, c.Format()); werr == nil {
-			c.rawBytes.Add(raw)
-			c.encBytes.Add(int64(buf.Len()))
-			c.backend.PutTrace(key, c.Format(), buf.Bytes())
-		}
-	}
-	c.settle(key, e)
-	return e.tr, e.err
-}
-
-// encodedLocked runs or reuses the memoized measurement in encoded form;
-// the caller holds e.mu. A configured backend is consulted before
-// measuring (the stored artifact IS the encoded form, so a durable hit
-// costs no decode at all), and fresh encodings are written through. The
-// measured trace is immediately encoded and released — only the compact
-// immutable bytes stay resident. A trace past the size budget is
-// memoized as an ErrTraceTooLarge failure (the measurement is
-// deterministic, so it would exceed the budget every time) — including
-// one arriving from the backend, whose encoded size is just as
-// deterministic.
-func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (*trace.Trace, error)) ([]byte, error) {
-	if e.measured {
-		return e.enc, e.err
+		return e.enc, nil, e.err
 	}
 	if c.backend != nil {
 		if enc, ok := c.backendGet(key); ok {
@@ -361,99 +300,154 @@ func (c *TraceCache) encodedLocked(key CacheKey, e *cacheEntry, measure func() (
 			}
 			e.measured = true
 			c.settle(key, e)
-			return e.enc, e.err
+			return e.enc, nil, e.err
 		}
 	}
 	c.misses.Add(1)
 	tr, err := measure()
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		c.settle(key, e)
-		return nil, err
+		return nil, nil, err
 	}
+	var ct *trace.CompiledTrace
 	if err == nil {
-		f := c.Format()
-		raw := trace.EncodedSize(tr.Header(), len(tr.Events))
-		// XTRP1's size is exact arithmetic, so its budget check runs
-		// before encoding a single byte; XTRP2's size depends on what the
-		// miner finds, so its check runs on the actual encoding.
-		if f == trace.FormatXTRP1 && c.maxB > 0 && raw > c.maxB {
-			err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, raw, c.maxB)
-		} else {
-			var buf bytes.Buffer
-			if f == trace.FormatXTRP1 {
-				buf.Grow(int(raw))
-			}
-			if werr := trace.WriteBinaryFormat(&buf, tr, f); werr != nil {
-				err = werr
-			} else if c.maxB > 0 && int64(buf.Len()) > c.maxB {
-				err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, buf.Len(), c.maxB)
-			} else {
-				e.enc = buf.Bytes()
-				c.rawBytes.Add(raw)
-				c.encBytes.Add(int64(buf.Len()))
-			}
+		var enc []byte
+		enc, ct, err = trace.EncodeCompiled(tr, sim.CanFastForward)
+		if err == nil && c.maxB > 0 && int64(len(enc)) > c.maxB {
+			err = fmt.Errorf("%w: %d encoded bytes, budget %d", ErrTraceTooLarge, len(enc), c.maxB)
+		} else if err == nil {
+			e.enc = enc
+			c.rawBytes.Add(trace.EncodedSize(tr.Header(), len(tr.Events)))
+			c.encBytes.Add(int64(len(enc)))
 		}
 	}
 	e.err, e.measured = err, true
 	if e.err == nil && c.backend != nil {
-		c.backend.PutTrace(key, c.Format(), e.enc)
+		c.backend.PutTrace(key, trace.FormatXTRP2, e.enc)
 	}
 	c.settle(key, e)
-	return e.enc, e.err
+	if e.err != nil || !compiled {
+		return e.enc, nil, e.err
+	}
+	if ct != nil {
+		return e.enc, &Compiled{ct: ct}, nil
+	}
+	// A failed pack leaves the compile to the caller, whose compile of
+	// the bytes then reports the error.
+	pk, perr := translate.Pack(ctx, tr.Header(), tr.Reader())
+	if perr != nil {
+		return e.enc, nil, nil
+	}
+	return e.enc, &Compiled{pk: pk}, nil
 }
 
 // Encoded returns the memoized measurement for key as immutable bytes
-// in the cache's Format, running measure on first use. Valid only on
-// an encoded cache.
+// (XTRP2, or XTRP1 served from a legacy backend artifact), running
+// measure on first use. Concurrent callers with the same key block
+// until the single measurement completes and then share its bytes.
 func (c *TraceCache) Encoded(key CacheKey, measure func() (*trace.Trace, error)) ([]byte, error) {
-	if !c.encoded {
-		return nil, errors.New("core: Encoded called on a non-encoded TraceCache")
-	}
 	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return c.encodedLocked(key, e, measure)
+	enc, _, err := c.encodedLocked(context.Background(), key, e, measure, false)
+	return enc, err
 }
 
-// Measure returns the memoized measurement trace for key, running
-// measure on first use. Concurrent callers with the same key block until
-// the single measurement completes and then share its trace. Valid only
-// on an in-memory cache; an encoded cache serves Encoded.
-func (c *TraceCache) Measure(key CacheKey, measure func() (*trace.Trace, error)) (*trace.Trace, error) {
-	if c.encoded {
-		return nil, errors.New("core: Measure called on an encoded TraceCache")
-	}
+// Compiled returns the measurement for key compiled for replay (see
+// Compile), measuring on first use and compiling once per residency in
+// the compiled tier: concurrent callers share one compile. ctx is
+// polled while compiling; compile failures are not memoized.
+func (c *TraceCache) Compiled(ctx context.Context, key CacheKey, measure func() (*trace.Trace, error)) (*Compiled, error) {
 	e := c.entry(key)
+	if comp := c.residentCompiled(e); comp != nil {
+		return comp, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return c.measureLocked(key, e, measure)
-}
-
-// Translated returns the memoized translation of the measurement for
-// key, measuring and translating on first use. Valid only on an
-// in-memory cache; an encoded cache serves Encoded, which streams
-// through ExtrapolateEncoded.
-func (c *TraceCache) Translated(key CacheKey, measure func() (*trace.Trace, error)) (*translate.ParallelTrace, error) {
-	if c.encoded {
-		return nil, errors.New("core: Translated called on an encoded TraceCache")
-	}
-	e := c.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	tr, err := c.measureLocked(key, e, measure)
+	enc, comp, err := c.encodedLocked(ctx, key, e, measure, true)
 	if err != nil {
 		return nil, err
 	}
-	if !e.translated {
-		e.pt, e.terr = translate.Translate(tr)
-		e.translated = true
+	if comp == nil {
+		if comp = c.residentCompiled(e); comp != nil {
+			return comp, nil
+		}
+		if comp, err = Compile(ctx, enc); err != nil {
+			return nil, err
+		}
 	}
-	return e.pt, e.terr
+	c.compiles.Add(1)
+	c.admitCompiled(key, e, comp)
+	return comp, nil
+}
+
+// residentCompiled returns e's compiled form if the tier holds it,
+// counting the hit. Its recency is the entry's, which the lookup just
+// refreshed.
+func (c *TraceCache) residentCompiled(e *cacheEntry) *Compiled {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.comp != nil {
+		c.compHits.Add(1)
+	}
+	return e.comp
+}
+
+// admitCompiled makes comp e's resident compiled form, dropping the
+// compiled forms of the least recently used entries past the budget. A
+// form larger than the whole budget, or one for an entry already
+// evicted from the cache, is not kept: its caller replays it once and
+// drops it.
+func (c *TraceCache) admitCompiled(key CacheKey, e *cacheEntry, comp *Compiled) {
+	size := comp.Size()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; !ok || el.Value.(*lruNode).e != e || size > c.compBudget {
+		return
+	}
+	e.comp = comp
+	c.compEntries++
+	c.compBytes += size
+	for el := c.order.Back(); c.compBytes > c.compBudget; el = el.Prev() {
+		c.dropCompiledLocked(el.Value.(*lruNode).e)
+	}
+}
+
+// dropCompiledLocked evicts e's compiled form, if resident; the caller
+// holds c.mu.
+func (c *TraceCache) dropCompiledLocked(e *cacheEntry) {
+	if e.comp == nil {
+		return
+	}
+	c.compEntries--
+	c.compBytes -= e.comp.Size()
+	e.comp = nil
 }
 
 // Stats reports cache effectiveness: hits is the number of lookups
-// served from memory, misses the number of measurement runs performed.
+// that found the measurement already taken — in memory or in the
+// durable backend — and misses the number of measurement runs
+// performed.
 func (c *TraceCache) Stats() (hits, misses int64) {
 	m := c.misses.Load()
 	return c.lookups.Load() - m, m
+}
+
+// CompiledStats describes the compiled tier: lookups it served (Hits),
+// compiles it ran (Misses), and the heap bytes and entries it holds.
+type CompiledStats struct {
+	Hits, Misses   int64
+	Bytes, Entries int64
+}
+
+// CompiledStats returns the compiled tier's counters.
+func (c *TraceCache) CompiledStats() CompiledStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CompiledStats{
+		Hits:    c.compHits.Load(),
+		Misses:  c.compiles.Load(),
+		Bytes:   c.compBytes,
+		Entries: c.compEntries,
+	}
 }

@@ -65,39 +65,15 @@ func ExtrapolateReader(ctx context.Context, hdr trace.Header, src trace.Reader, 
 // program become a live cursor the whole pipeline can see, letting the
 // simulator fast-forward steady loop iterations; event replay mode (or
 // a non-XTRP2 input) falls back to the plain record decoder. Both paths
-// produce byte-identical predictions.
-//
-// It is CompileEncoded followed by ExtrapolateCompiled. Callers that
-// replay one measurement under several configs — sweep cells sharing a
-// trace — call the two steps themselves and compile once.
+// produce byte-identical predictions. Callers that replay one
+// measurement under several configs compile it once instead (see
+// Compile and TraceCache.Compiled).
 func ExtrapolateEncoded(ctx context.Context, enc []byte, cfg sim.Config) (*Prediction, error) {
-	var ct *trace.CompiledTrace
-	if cfg.Replay == sim.ReplayPattern {
-		var err error
-		if ct, err = CompileEncoded(enc); err != nil {
+	if trace.IsXTRP2(enc) && cfg.Replay == sim.ReplayPattern {
+		ct, err := trace.CompileBinary(bytes.NewReader(enc))
+		if err != nil {
 			return nil, err
 		}
-	}
-	return ExtrapolateCompiled(ctx, enc, ct, cfg)
-}
-
-// CompileEncoded is the compile step of ExtrapolateEncoded: XTRP2 bytes
-// parse into an immutable CompiledTrace any number of replays can
-// share; other formats return nil, as they replay through the record
-// decoder.
-func CompileEncoded(enc []byte) (*trace.CompiledTrace, error) {
-	if !trace.IsXTRP2(enc) {
-		return nil, nil
-	}
-	return trace.CompileBinary(bytes.NewReader(enc))
-}
-
-// ExtrapolateCompiled is the replay step of ExtrapolateEncoded: one
-// streaming extrapolation of enc under cfg, where ct is
-// CompileEncoded(enc) or nil. Pattern replay runs over a fresh cursor
-// on ct; event replay, or a nil ct, decodes enc record by record.
-func ExtrapolateCompiled(ctx context.Context, enc []byte, ct *trace.CompiledTrace, cfg sim.Config) (*Prediction, error) {
-	if ct != nil && cfg.Replay == sim.ReplayPattern {
 		return ExtrapolateReader(ctx, ct.Header(), ct.Source(), cfg)
 	}
 	d, err := trace.NewAnyDecoder(bytes.NewReader(enc))

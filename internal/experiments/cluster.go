@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"extrap/internal/benchmarks"
@@ -54,11 +55,11 @@ func runAblationCluster(opts Options) (*Output, error) {
 		Columns: []string{"cluster size", "placement", "time",
 			"network msgs", "note"},
 	}
-	// One measurement and one translation feed every cell; only the
+	// One measurement and one compile feed every cell; only the
 	// simulations fan out.
 	r := newRunner(opts)
 	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
-	pt, err := r.translated(grid.Name(), size, threads, mopts, grid.Factory(size))
+	comp, err := r.compiled(grid.Name(), size, threads, mopts, grid.Factory(size))
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +87,11 @@ func runAblationCluster(opts Options) (*Output, error) {
 		cfg.IntraComm = intra
 		cfg.Placement = cells[i].pl
 		cfg.ContextSwitchTime = 10 * vtime.Microsecond
-		res, err := sim.Simulate(pt, cfg)
+		pred, err := comp.Extrapolate(context.Background(), cfg)
 		if err != nil {
 			return err
 		}
-		cells[i].res = res
+		cells[i].res = pred.Result
 		return nil
 	})
 	if err != nil {

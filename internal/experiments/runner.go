@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
@@ -14,23 +13,22 @@ import (
 	"extrap/internal/pool"
 	"extrap/internal/sim"
 	"extrap/internal/trace"
-	"extrap/internal/translate"
 	"extrap/internal/vtime"
 )
 
 // runner executes an experiment's measurement/simulation grid across the
-// configured worker pool, memoizing measurement traces so each distinct
-// (benchmark, size, threads, measure options) combination is measured and
-// translated once and then simulated under every configuration. Results
-// are always written to index-addressed slots and assembled sequentially,
-// so the Output is byte-identical at any worker count.
+// configured worker pool, memoizing measurements so each distinct
+// (benchmark, size, threads, measure options) combination is measured
+// and compiled once and then simulated under every configuration.
+// Results are always written to index-addressed slots and assembled
+// sequentially, so the Output is byte-identical at any worker count.
 type runner struct {
 	opts  Options
 	cache *core.TraceCache
 }
 
 func newRunner(opts Options) *runner {
-	r := &runner{opts: opts, cache: core.NewTraceCache()}
+	r := &runner{opts: opts, cache: core.NewTraceCache(0, 0)}
 	if opts.Backend != nil {
 		r.cache.SetBackend(opts.Backend)
 	}
@@ -65,18 +63,23 @@ func MeasurementKey(bench string, size benchmarks.Size, threads int, mopts core.
 	return cacheKey(bench, size, threads, mopts)
 }
 
-// measured returns the (cached) measurement trace for one benchmark run.
-// The returned trace is shared — callers must treat it as read-only.
+// measured returns the measurement trace for one benchmark run, decoded
+// from the cached bytes — for experiments that read the trace itself
+// rather than replay it.
 func (r *runner) measured(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*trace.Trace, error) {
-	return r.cache.Measure(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
+	enc, err := r.cache.Encoded(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
 		return core.Measure(f(threads), mopts)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return trace.ReadBinaryAny(bytes.NewReader(enc))
 }
 
-// translated returns the (cached) translated trace for one benchmark run,
-// measuring and translating on first use.
-func (r *runner) translated(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*translate.ParallelTrace, error) {
-	return r.cache.Translated(cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
+// compiled returns the (cached) compiled measurement for one benchmark
+// run, measuring and compiling on first use.
+func (r *runner) compiled(bench string, size benchmarks.Size, threads int, mopts core.MeasureOptions, f core.ProgramFactory) (*core.Compiled, error) {
+	return r.cache.Compiled(context.Background(), cacheKey(bench, size, threads, mopts), func() (*trace.Trace, error) {
 		return core.Measure(f(threads), mopts)
 	})
 }
@@ -130,19 +133,12 @@ type gridCell struct{ job, pt int }
 
 // runGrid fans every (job, processor count) cell of the grid across a
 // worker pool and returns one point series per job, in job order. Each
-// cell measures through the memo cache (so cells sharing a measurement
-// wait for one run, then share the trace) and simulates independently
-// under ctx, which bounds the measurement and simulation work of every
-// cell; ctx-aborted measurements are not memoized.
-//
-// On an encoded cache (cache.Streams()) each cell instead pulls the
-// compact immutable bytes and runs the bounded-memory streaming
-// pipeline — decode, translate, and simulate flow through cursors, so
-// a cell's transient footprint is the translation buffer, not the
-// trace. The streaming pipeline is byte-identical to the in-memory
-// one, so the grid's output is the same either way, at any worker
-// count. On an XTRP2 cache, cells that share a measurement share one
-// compile of it (see shareCompiles).
+// cell looks its measurement up in the cache — cells sharing a
+// measurement wait for one run and one compile, then share the
+// compiled trace — and simulates independently under ctx, which bounds
+// the measurement and simulation work of every cell; ctx-aborted
+// measurements are not memoized. Output is byte-identical at any worker
+// count.
 func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []SweepJob) ([][]metrics.Point, error) {
 	// Flatten the grid so the pool load-balances across cells of every
 	// job, not one job at a time.
@@ -154,18 +150,13 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []Sw
 			cells = append(cells, gridCell{j, i})
 		}
 	}
-	shares := shareCompiles(cache, jobs, cells)
 	err := pool.Run(workers, len(cells), func(c int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var sc *sharedCompile
-		if shares != nil {
-			sc = shares[c]
-		}
 		job := &jobs[cells[c].job]
 		n := job.Procs[cells[c].pt]
-		total, err := cellTime(ctx, cache, job, n, sc)
+		total, err := cellTime(ctx, cache, job, n)
 		if err != nil {
 			return err
 		}
@@ -178,109 +169,27 @@ func runGrid(ctx context.Context, cache *core.TraceCache, workers int, jobs []Sw
 	return points, nil
 }
 
-// shareCompiles gives the cells of a per-cell grid on an XTRP2 cache
-// one sharedCompile per measurement, indexed by flat cell: cells that
-// replay the same trace under different configs compile it once. It
-// returns nil when the cache holds no XTRP2 bytes to compile.
-func shareCompiles(cache *core.TraceCache, jobs []SweepJob, cells []gridCell) []*sharedCompile {
-	if !compilesXTRP2(cache) {
-		return nil
-	}
-	out := make([]*sharedCompile, len(cells))
-	byKey := make(map[core.CacheKey]*sharedCompile)
-	for i, c := range cells {
-		job := &jobs[c.job]
-		key := cacheKey(job.Name, job.Size, job.Procs[c.pt], core.MeasureOptions{SizeMode: job.Mode})
-		sc := byKey[key]
-		if sc == nil {
-			sc = &sharedCompile{}
-			byKey[key] = sc
-		}
-		sc.left.Add(1)
-		out[i] = sc
-	}
-	return out
-}
-
-// compilesXTRP2 reports whether cache holds XTRP2 bytes, the format
-// pattern replay compiles.
-func compilesXTRP2(cache *core.TraceCache) bool {
-	return cache.Streams() && cache.Format() == trace.FormatXTRP2
-}
-
-// sharedCompile is one measurement's compiled trace, shared by the
-// grid cells that replay it (trace.CompiledTrace is immutable and every
-// replay takes its own cursor). The first cell compiles the bytes it looked up; cells always look their bytes up themselves,
-// so cache statistics and recency are those of unshared cells. The
-// trace is dropped when the last cell finishes: a compiled trace is
-// several times its encoded size and never outlives its cells.
-type sharedCompile struct {
-	once sync.Once
-	ct   *trace.CompiledTrace
-	err  error
-	left atomic.Int64 // cells not yet finished
-}
-
-// extrapolate replays enc under cfg, compiling on first use. A nil
-// receiver compiles privately, as core.ExtrapolateEncoded does.
-func (sc *sharedCompile) extrapolate(ctx context.Context, enc []byte, cfg sim.Config) (*core.Prediction, error) {
-	if sc == nil {
-		return core.ExtrapolateEncoded(ctx, enc, cfg)
-	}
-	defer func() {
-		if sc.left.Add(-1) == 0 {
-			sc.ct = nil
-		}
-	}()
-	sc.once.Do(func() { sc.ct, sc.err = core.CompileEncoded(enc) })
-	if sc.err != nil {
-		return nil, sc.err
-	}
-	return core.ExtrapolateCompiled(ctx, enc, sc.ct, cfg)
-}
-
-// arenaPool recycles dense simulator state (threads, processors,
-// barriers, event list, message slab) across sequential grid cells, so
-// the per-cell in-memory path does not reallocate ~½ MB per simulation.
-// Reuse is bit-identity-safe: the arena fully reinitializes on acquire.
-var arenaPool = sync.Pool{New: func() any { return sim.NewArena() }}
-
-// simulateCell runs one in-memory simulation with pooled dense state.
-func simulateCell(ctx context.Context, pt *translate.ParallelTrace, cfg sim.Config) (*sim.Result, error) {
-	a := arenaPool.Get().(*sim.Arena)
-	res, err := sim.SimulateArenaContext(ctx, a, pt, cfg)
-	arenaPool.Put(a)
-	return res, err
-}
-
-// cellTime measures (through the memo cache) and simulates one cell,
-// returning its exact predicted total.
-func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int, sc *sharedCompile) (vtime.Time, error) {
-	mopts := core.MeasureOptions{SizeMode: job.Mode}
-	key := cacheKey(job.Name, job.Size, n, mopts)
-	measure := func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, job.Factory(n), mopts)
-	}
-	if cache.Streams() {
-		enc, err := cache.Encoded(key, measure)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := sc.extrapolate(ctx, enc, job.Cfg)
-		if err != nil {
-			return 0, err
-		}
-		return pred.Result.TotalTime, nil
-	}
-	pt, err := cache.Translated(key, measure)
+// cellTime measures and compiles (through the memo cache) and
+// simulates one cell, returning its exact predicted total.
+func cellTime(ctx context.Context, cache *core.TraceCache, job *SweepJob, n int) (vtime.Time, error) {
+	pred, err := predict(ctx, cache, job.Name, job.Size, job.Factory, n, job.Mode, job.Cfg)
 	if err != nil {
 		return 0, err
 	}
-	res, err := simulateCell(ctx, pt, job.Cfg)
+	return pred.Result.TotalTime, nil
+}
+
+// predict compiles (through the memo cache) and replays one measurement
+// under cfg.
+func predict(ctx context.Context, cache *core.TraceCache, name string, size benchmarks.Size, f core.ProgramFactory, n int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
+	mopts := core.MeasureOptions{SizeMode: mode}
+	comp, err := cache.Compiled(ctx, cacheKey(name, size, n, mopts), func() (*trace.Trace, error) {
+		return core.MeasureContext(ctx, f(n), mopts)
+	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return res.TotalTime, nil
+	return comp.Extrapolate(ctx, cfg)
 }
 
 // runGridFitted answers each job's ladder through the analytic fitted
@@ -298,7 +207,7 @@ func runGridFitted(ctx context.Context, cache *core.TraceCache, workers int, job
 		}
 		job := &jobs[j]
 		sim := func(ctx context.Context, n int) ([]vtime.Time, error) {
-			t, err := cellTime(ctx, cache, job, n, nil)
+			t, err := cellTime(ctx, cache, job, n)
 			if err != nil {
 				return nil, err
 			}

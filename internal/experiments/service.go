@@ -9,16 +9,15 @@ import (
 	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
 	"extrap/internal/sim"
-	"extrap/internal/trace"
 )
 
 // Service is the experiment engine packaged as a long-lived component:
-// a shared measurement/translation memo cache plus the grid runner,
-// reusable across many independent requests instead of one experiment
-// run. It backs the `extrap serve` HTTP API — every prediction the API
-// returns goes through exactly the pipeline the paper's experiments use,
-// and repeated requests for the same (benchmark, size, threads)
-// share one measurement through the cache.
+// a shared measurement memo cache plus the grid runner, reusable across
+// many independent requests instead of one experiment run. It backs the
+// `extrap serve` HTTP API — every prediction the API returns goes
+// through exactly the pipeline the paper's experiments use, and
+// repeated requests for the same (benchmark, size, threads) share one
+// measurement and one compile through the cache.
 //
 // A Service is safe for concurrent use.
 type Service struct {
@@ -26,33 +25,27 @@ type Service struct {
 	workers int
 }
 
-// NewService returns a Service whose sweeps fan out over at most workers
-// goroutines (≤ 0 selects GOMAXPROCS) and whose memo cache retains at
-// most cacheEntries measurements, evicting least-recently-used beyond
-// that (≤ 0 means unbounded — only appropriate for fixed key
-// populations, never for a server fed client-controlled parameters).
-func NewService(workers, cacheEntries int) *Service {
-	return &Service{cache: core.NewBoundedTraceCache(cacheEntries), workers: workers}
-}
-
-// NewStreamingService returns a Service backed by an encoded trace
-// cache: measurements stay resident as compact immutable encoded bytes
-// (in the format SetTraceFormat selects) and every prediction runs the
-// bounded-memory streaming pipeline (incremental decode → streaming
-// translate → streaming simulate).
-// Predictions are byte-identical to the in-memory Service's, but a
-// request's transient footprint is the translation buffer rather than
-// the materialized trace, and maxTraceBytes (> 0) rejects any
-// measurement whose encoding exceeds the budget with
-// core.ErrTraceTooLarge. This is the right shape for long-lived
-// servers fed client-controlled parameters.
-func NewStreamingService(workers, cacheEntries int, maxTraceBytes int64) *Service {
-	return &Service{cache: core.NewEncodedTraceCache(cacheEntries, maxTraceBytes), workers: workers}
+// NewService returns a Service whose sweeps fan out over at most
+// workers goroutines (≤ 0 selects GOMAXPROCS) and whose memo cache
+// retains at most cacheEntries measurements as compact XTRP2 bytes,
+// evicting least-recently-used beyond that (≤ 0 means unbounded — only
+// appropriate for fixed key populations, never for a server fed
+// client-controlled parameters), plus a heap-byte-budgeted hot set of
+// compiled traces (core.CompiledBudget). maxTraceBytes (> 0) rejects
+// any measurement whose encoding exceeds the budget with
+// core.ErrTraceTooLarge.
+func NewService(workers, cacheEntries int, maxTraceBytes int64) *Service {
+	return &Service{cache: core.NewTraceCache(cacheEntries, maxTraceBytes), workers: workers}
 }
 
 // CacheStats reports the memo cache's lookup effectiveness: lookups
-// served from memory and measurement runs performed.
+// that found the measurement already taken (in memory or in the
+// durable backend) and measurement runs performed.
 func (s *Service) CacheStats() (hits, misses int64) { return s.cache.Stats() }
+
+// CompiledStats reports the memo cache's compiled tier: lookups it
+// served, compiles it ran, and the heap bytes and entries it holds.
+func (s *Service) CompiledStats() core.CompiledStats { return s.cache.CompiledStats() }
 
 // SetBackend attaches a durable tier (typically a *store.Store) behind
 // the Service's memo cache: memory misses consult the backend before
@@ -61,12 +54,6 @@ func (s *Service) CacheStats() (hits, misses int64) { return s.cache.Stats() }
 // Service starts handling requests; results are byte-identical with or
 // without a backend.
 func (s *Service) SetBackend(b core.TraceBackend) { s.cache.SetBackend(b) }
-
-// SetTraceFormat selects the wire format a streaming Service encodes
-// cached measurements in (zero keeps XTRP1). Predictions are
-// byte-identical across formats — the format only changes resident and
-// durable bytes. Set before the Service starts handling requests.
-func (s *Service) SetTraceFormat(f trace.Format) { s.cache.SetFormat(f) }
 
 // CompressionStats reports the raw (XTRP1-equivalent) and actual
 // encoded bytes of measurements the cache has encoded so far.
@@ -78,77 +65,28 @@ func (s *Service) CompressionStats() core.CompressionStats { return s.cache.Comp
 func (s *Service) Workers() int { return s.workers }
 
 // Predict predicts one benchmark configuration on one target
-// environment: measure (or reuse) the threads-thread trace, translate
-// it, and simulate it under cfg, returning the scalar prediction. The
-// context bounds every stage, including the measurement (polled at
-// safe points in the runtime). A measurement aborted by the caller's
-// deadline is not memoized — the error goes to that caller alone and
-// the next request re-measures under its own deadline — so a timeout
-// never poisons the cache. On a streaming Service the traces flow
-// through bounded cursors and are never materialized; both shapes
-// produce byte-identical predictions for the same request.
+// environment: measure (or reuse) the threads-thread trace, compile (or
+// reuse) it, and simulate it under cfg, returning the scalar
+// prediction. The context bounds every stage, including the measurement
+// (polled at safe points in the runtime). A measurement aborted by the
+// caller's deadline is not memoized — the error goes to that caller
+// alone and the next request re-measures under its own deadline — so a
+// timeout never poisons the cache.
 func (s *Service) Predict(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config) (*core.Prediction, error) {
-	if s.cache.Streams() {
-		return s.predictEncoded(ctx, b, size, threads, mode, cfg, nil)
-	}
 	if threads <= 0 {
 		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
 	}
-	mopts := core.MeasureOptions{SizeMode: mode}
-	key := cacheKey(b.Name(), size, threads, mopts)
-	measure := func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, b.Factory(size)(threads), mopts)
-	}
-	tr, err := s.cache.Measure(key, measure)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := s.cache.Translated(key, measure)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.SimulateContext(ctx, pt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Prediction{Measured1P: tr.Duration(), Ideal: pt.Duration(), Result: res}, nil
-}
-
-// predictEncoded is Predict's streaming path, compiling through sc
-// (nil compiles privately).
-func (s *Service) predictEncoded(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfg sim.Config, sc *sharedCompile) (*core.Prediction, error) {
-	if threads <= 0 {
-		return nil, fmt.Errorf("experiments: invalid thread count %d", threads)
-	}
-	mopts := core.MeasureOptions{SizeMode: mode}
-	enc, err := s.cache.Encoded(cacheKey(b.Name(), size, threads, mopts), func() (*trace.Trace, error) {
-		return core.MeasureContext(ctx, b.Factory(size)(threads), mopts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sc.extrapolate(ctx, enc, cfg)
+	return predict(ctx, s.cache, b.Name(), size, b.Factory(size), threads, mode, cfg)
 }
 
 // PredictEach answers one prediction per config against a single
-// shared measurement on the per-cell path, in config order. Each
-// prediction is Predict's for that config, byte for byte; on an XTRP2
-// cache the configs share one compile of the trace.
+// shared measurement, in config order. Each prediction is Predict's for
+// that config, byte for byte.
 func (s *Service) PredictEach(ctx context.Context, b benchmarks.Benchmark, size benchmarks.Size, threads int, mode pcxx.SizeMode, cfgs []sim.Config) ([]*core.Prediction, error) {
-	var sc *sharedCompile
-	if compilesXTRP2(s.cache) {
-		sc = &sharedCompile{}
-		sc.left.Store(int64(len(cfgs)))
-	}
 	out := make([]*core.Prediction, len(cfgs))
 	for i, cfg := range cfgs {
 		var err error
-		if sc != nil {
-			out[i], err = s.predictEncoded(ctx, b, size, threads, mode, cfg, sc)
-		} else {
-			out[i], err = s.Predict(ctx, b, size, threads, mode, cfg)
-		}
-		if err != nil {
+		if out[i], err = s.Predict(ctx, b, size, threads, mode, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -167,11 +105,8 @@ func (s *Service) Sweep(ctx context.Context, job SweepJob) ([]metrics.Point, err
 }
 
 // SweepGrid runs several sweep jobs as one grid, returning one series
-// per job in job order. Running related jobs together is what lets
-// cells that name the same benchmark, size, and thread count — the same
-// measurement under different machine models — share one compile of
-// the trace. Output is byte-identical to running the jobs one at a
-// time, at any worker count.
+// per job in job order. Output is byte-identical to running the jobs
+// one at a time, at any worker count.
 func (s *Service) SweepGrid(ctx context.Context, jobs []SweepJob) ([][]metrics.Point, error) {
 	return runGrid(ctx, s.cache, s.workers, jobs)
 }

@@ -15,7 +15,7 @@ func quickSize(b benchmarks.Benchmark) benchmarks.Size {
 }
 
 func TestServiceExtrapolateSharesMeasurements(t *testing.T) {
-	s := NewService(2, 0)
+	s := NewService(2, 0, 0)
 	b := mustBench(t, "grid")
 	size := quickSize(b)
 	ctx := context.Background()
@@ -50,7 +50,7 @@ func TestServiceSweepMatchesRunnerGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewService(3, 0)
+	s := NewService(3, 0, 0)
 	got, err := s.Sweep(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestServiceSweepMatchesRunnerGrid(t *testing.T) {
 }
 
 func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
-	s := NewService(2, 0)
+	s := NewService(2, 0, 0)
 	b := mustBench(t, "cyclic")
 	size := quickSize(b)
 	job := SweepJob{
@@ -92,7 +92,7 @@ func TestServiceSweepSharesCacheWithExtrapolate(t *testing.T) {
 }
 
 func TestServiceCancellation(t *testing.T) {
-	s := NewService(2, 0)
+	s := NewService(2, 0, 0)
 	b := mustBench(t, "grid")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -10,51 +10,77 @@ import (
 	"extrap/internal/benchmarks"
 	"extrap/internal/core"
 	"extrap/internal/machine"
+	"extrap/internal/metrics"
 	"extrap/internal/pcxx"
 	"extrap/internal/sim"
 	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
 
-// TestStreamingServiceMatchesInMemory: the encoded-cache Service must
-// predict exactly what the in-memory Service predicts — same scalars,
-// same Result — for single predictions and for sweeps, in both
-// streaming shapes: the XTRP1 default and the XTRP2 cache serve runs
-// (pattern replay). It covers every suite kernel on every machine
-// preset, and each measurement runs once per Service.
+// TestStreamingServiceMatchesInMemory: the Service — bytes compiled
+// once, replayed with fast-forward — must predict exactly what the
+// in-memory pipeline (core.Extrapolate on the live measurement)
+// predicts — same scalars, same Result — for single predictions and for
+// sweeps. It covers every suite kernel on every machine preset, for a
+// Service measuring fresh into XTRP2 and for one whose store holds only
+// legacy XTRP1 artifacts; each measurement is compiled once per
+// Service, and only the fresh one measures.
 func TestStreamingServiceMatchesInMemory(t *testing.T) {
 	ctx := context.Background()
 	suite := benchmarks.Suite()
 	envs := machine.Presets()
 	procs := []int{1, 2, 4}
-	mem := NewService(2, 0)
+	mopts := core.MeasureOptions{SizeMode: pcxx.ActualSize}
+	live := map[core.CacheKey]*trace.Trace{}
+	legacy := legacyStore{}
+	for _, b := range suite {
+		size := quickSize(b)
+		for _, n := range procs {
+			tr, err := core.Measure(b.Factory(size)(n), mopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := MeasurementKey(b.Name(), size, n, mopts)
+			live[key] = tr
+			var buf bytes.Buffer
+			if err := trace.WriteBinary(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			legacy[key.CanonicalFormat(trace.FormatXTRP1)] = buf.Bytes()
+		}
+	}
 	for _, f := range []trace.Format{trace.FormatXTRP1, trace.FormatXTRP2} {
-		str := NewStreamingService(2, 0, 0)
-		if f != trace.FormatXTRP1 {
-			str.SetTraceFormat(f)
+		str := NewService(2, 0, 0)
+		if f == trace.FormatXTRP1 {
+			str.SetBackend(legacy)
 		}
 		for _, b := range suite {
 			t.Run(f.String()+"/"+b.Name(), func(t *testing.T) {
 				size := quickSize(b)
-				jobs := make([]SweepJob, len(envs))
-				for i, env := range envs {
-					want, err := mem.Predict(ctx, b, size, 4, pcxx.ActualSize, env.Config)
+				extrapolate := func(n int, cfg sim.Config) *core.Outcome {
+					t.Helper()
+					oc, err := core.Extrapolate(live[MeasurementKey(b.Name(), size, n, mopts)], cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
+					return oc
+				}
+				jobs := make([]SweepJob, len(envs))
+				want := make([][]metrics.Point, len(envs))
+				for i, env := range envs {
+					oc := extrapolate(4, env.Config)
 					got, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, env.Config)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: streaming (%v, %v, %+v) vs in-memory (%v, %v, %+v)", env.Name,
-							got.Measured1P, got.Ideal, *got.Result, want.Measured1P, want.Ideal, *want.Result)
+					if !reflect.DeepEqual(got.Result, oc.Result) || got.Measured1P != oc.Measurement.Duration() || got.Ideal != oc.Parallel.Duration() {
+						t.Errorf("%s: service (%v, %v, %+v) vs in-memory (%v, %v, %+v)", env.Name,
+							got.Measured1P, got.Ideal, *got.Result, oc.Measurement.Duration(), oc.Parallel.Duration(), *oc.Result)
 					}
 					jobs[i] = SweepJob{Name: b.Name(), Size: size, Factory: b.Factory(size), Mode: pcxx.ActualSize, Cfg: env.Config, Procs: procs}
-				}
-				want, err := mem.SweepGrid(ctx, jobs)
-				if err != nil {
-					t.Fatal(err)
+					for _, n := range procs {
+						want[i] = append(want[i], metrics.Point{Procs: n, Time: extrapolate(n, env.Config).Result.TotalTime})
+					}
 				}
 				got, err := str.SweepGrid(ctx, jobs)
 				if err != nil {
@@ -65,11 +91,30 @@ func TestStreamingServiceMatchesInMemory(t *testing.T) {
 				}
 			})
 		}
-		if _, misses := str.CacheStats(); misses != int64(len(suite)*len(procs)) {
-			t.Errorf("%v: streaming service measured %d times, want %d", f, misses, len(suite)*len(procs))
+		measurements := int64(len(suite) * len(procs))
+		wantMeasured := measurements
+		if f == trace.FormatXTRP1 {
+			wantMeasured = 0
+		}
+		if _, misses := str.CacheStats(); misses != wantMeasured {
+			t.Errorf("%v: service measured %d times, want %d", f, misses, wantMeasured)
+		}
+		if cs := str.CompiledStats(); cs.Misses != measurements {
+			t.Errorf("%v: service compiled %d times, want %d", f, cs.Misses, measurements)
 		}
 	}
 }
+
+// legacyStore is a read-only trace backend holding artifacts under
+// their canonical keys, as a store written by an older build does.
+type legacyStore map[string][]byte
+
+func (s legacyStore) GetTrace(key core.CacheKey, f trace.Format) ([]byte, bool) {
+	enc, ok := s[key.CanonicalFormat(f)]
+	return enc, ok
+}
+
+func (legacyStore) PutTrace(core.CacheKey, trace.Format, []byte) {}
 
 // TestStreamingServiceTraceBudget: a measurement encoding past the
 // budget surfaces core.ErrTraceTooLarge from every prediction entry
@@ -78,7 +123,7 @@ func TestStreamingServiceTraceBudget(t *testing.T) {
 	b := mustBench(t, "grid")
 	size := quickSize(b)
 	ctx := context.Background()
-	str := NewStreamingService(1, 4, 64) // far below any real encoding
+	str := NewService(1, 4, 64) // far below any real encoding
 
 	for i := 0; i < 2; i++ {
 		if _, err := str.Predict(ctx, b, size, 4, pcxx.ActualSize, freeCfg()); !errors.Is(err, core.ErrTraceTooLarge) {
@@ -126,23 +171,34 @@ func gridJobs(t *testing.T, bench string, cfgs []sim.Config, procs []int) []Swee
 	return jobs
 }
 
-// TestSharedCompileMatchesPrivate: on an XTRP2 cache under pattern
-// replay, cells that share one compiled trace must predict exactly what
-// a private compile per cell predicts — per-cell sweeps at several
-// worker counts against the in-memory grid, and PredictEach against
-// Predict — while every cell still looks its bytes up in the cache.
-// Run under -race this also covers concurrent cursors on one compile.
+// TestSharedCompileMatchesPrivate: cells that share one compiled trace
+// through the cache must predict exactly what a private event-replay
+// of the measurement's bytes predicts — per-cell sweeps at several
+// worker counts, and PredictEach against Predict — while every cell
+// still looks its measurement up in the cache and each measurement
+// compiles once. Run under -race this also covers concurrent cursors on
+// one compile.
 func TestSharedCompileMatchesPrivate(t *testing.T) {
+	ctx := context.Background()
 	cfgs := machineGrid(4)
-	jobs := gridJobs(t, "cyclic", cfgs, []int{1, 2, 4, 8})
-	want, err := NewService(1, 0).SweepGrid(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
+	procs := []int{1, 2, 4, 8}
+	jobs := gridJobs(t, "cyclic", cfgs, procs)
+	want := make([][]metrics.Point, len(jobs))
+	for _, n := range procs {
+		enc := measureXTRP2(t, jobs[0], n)
+		for j := range jobs {
+			cfg := jobs[j].Cfg
+			cfg.Replay = sim.ReplayEvent
+			p, err := core.ExtrapolateEncoded(ctx, enc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = append(want[j], metrics.Point{Procs: n, Time: p.Result.TotalTime})
+		}
 	}
 	for _, workers := range []int{1, 3} {
-		svc := NewStreamingService(workers, 0, 0)
-		svc.SetTraceFormat(trace.FormatXTRP2)
-		got, err := svc.SweepGrid(context.Background(), jobs)
+		svc := NewService(workers, 0, 0)
+		got, err := svc.SweepGrid(ctx, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,21 +206,23 @@ func TestSharedCompileMatchesPrivate(t *testing.T) {
 			t.Errorf("workers=%d: shared-compile grid differs:\n got %v\nwant %v", workers, got, want)
 		}
 		hits, misses := svc.CacheStats()
-		if cells := int64(len(cfgs) * 4); hits+misses != cells {
+		if cells := int64(len(cfgs) * len(procs)); hits+misses != cells {
 			t.Errorf("workers=%d: %d cache lookups for %d cells", workers, hits+misses, cells)
+		}
+		if cs := svc.CompiledStats(); cs.Misses != int64(len(procs)) {
+			t.Errorf("workers=%d: compiled %d times for %d measurements", workers, cs.Misses, len(procs))
 		}
 	}
 
 	b := mustBench(t, "cyclic")
 	sz := quickSize(b)
-	svc := NewStreamingService(1, 0, 0)
-	svc.SetTraceFormat(trace.FormatXTRP2)
-	each, err := svc.PredictEach(context.Background(), b, sz, 4, pcxx.ActualSize, cfgs)
+	svc := NewService(1, 0, 0)
+	each, err := svc.PredictEach(ctx, b, sz, 4, pcxx.ActualSize, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		p, err := svc.Predict(context.Background(), b, sz, 4, pcxx.ActualSize, cfg)
+		p, err := svc.Predict(ctx, b, sz, 4, pcxx.ActualSize, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +230,16 @@ func TestSharedCompileMatchesPrivate(t *testing.T) {
 			t.Errorf("config %d: PredictEach %+v, Predict %+v", i, each[i].Result, p.Result)
 		}
 	}
+	if cs := svc.CompiledStats(); cs.Misses != 1 {
+		t.Errorf("PredictEach and Predict compiled %d times, want 1", cs.Misses)
+	}
 }
 
-// TestSharedCompileDropsTrace: the compiled trace lives only until the
-// last of its cells finishes.
-func TestSharedCompileDropsTrace(t *testing.T) {
-	b := mustBench(t, "cyclic")
-	tr, err := core.Measure(b.Factory(quickSize(b))(4), core.MeasureOptions{})
+// measureXTRP2 measures job's program at n threads and returns its
+// XTRP2 encoding.
+func measureXTRP2(t *testing.T, job SweepJob, n int) []byte {
+	t.Helper()
+	tr, err := core.Measure(job.Factory(n), core.MeasureOptions{SizeMode: job.Mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,19 +247,53 @@ func TestSharedCompileDropsTrace(t *testing.T) {
 	if err := trace.WriteBinary2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	cfgs := machineGrid(3)
-	sc := &sharedCompile{}
-	sc.left.Store(int64(len(cfgs)))
-	var first *trace.CompiledTrace
-	for i, cfg := range cfgs {
-		if _, err := sc.extrapolate(context.Background(), buf.Bytes(), cfg); err != nil {
+	return buf.Bytes()
+}
+
+// TestSharedCompileDropsTrace: a compiled trace lives only as long as
+// its cache entry — evicting the measurement drops its compiled form,
+// and a later request recompiles.
+func TestSharedCompileDropsTrace(t *testing.T) {
+	ctx := context.Background()
+	b := mustBench(t, "cyclic")
+	sz := quickSize(b)
+	svc := NewService(1, 1, 0) // one entry
+	predict := func(n int) {
+		t.Helper()
+		if _, err := svc.Predict(ctx, b, sz, n, pcxx.ActualSize, freeCfg()); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			first = sc.ct
-		}
-		if last := i == len(cfgs)-1; (sc.ct == nil) != last || (!last && sc.ct != first) {
-			t.Fatalf("after cell %d of %d: compiled trace %p (first %p)", i+1, len(cfgs), sc.ct, first)
-		}
+	}
+	predict(2)
+	predict(2)
+	if cs := svc.CompiledStats(); cs.Misses != 1 || cs.Hits != 1 || cs.Entries != 1 || cs.Bytes <= 0 {
+		t.Fatalf("after a repeated request: %+v, want one resident compile", cs)
+	}
+	predict(4) // evicts the 2-thread entry and its compiled form
+	if cs := svc.CompiledStats(); cs.Misses != 2 || cs.Entries != 1 {
+		t.Fatalf("after eviction: %+v, want exactly the 4-thread form resident", cs)
+	}
+	predict(2)
+	if cs := svc.CompiledStats(); cs.Misses != 3 {
+		t.Fatalf("evicted measurement served a stale compile: %+v", cs)
+	}
+}
+
+// TestFittedSweepCompilesEachAnchorOnce: a fitted sweep of several
+// machine curves over one program simulates each anchor measurement
+// under every curve from one compile of it.
+func TestFittedSweepCompilesEachAnchorOnce(t *testing.T) {
+	procs := make([]int, 16)
+	for i := range procs {
+		procs[i] = i + 1
+	}
+	svc := NewService(2, 0, 0)
+	if _, err := svc.SweepGridFitted(context.Background(), gridJobs(t, "grid", machineGrid(3), procs)); err != nil {
+		t.Fatal(err)
+	}
+	_, measured := svc.CacheStats()
+	cs := svc.CompiledStats()
+	if measured == 0 || cs.Misses != measured || cs.Hits == 0 {
+		t.Errorf("compiled %d times for %d anchor measurements (%+v)", cs.Misses, measured, cs)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"extrap/internal/benchmarks"
@@ -47,17 +48,18 @@ func runTable1(opts Options) (*Output, error) {
 	size := benchmarks.Size{N: 128, Iters: 2}
 	n := opts.procs()[len(opts.procs())-1]
 	baseCfg := machine.GenericDM().Config
-	// One measurement and translation back every variant simulation.
+	// One measurement and compile back every variant simulation.
 	r := newRunner(opts)
-	basePt, err := r.translated(cy.Name(), size, n,
+	comp, err := r.compiled(cy.Name(), size, n,
 		core.MeasureOptions{SizeMode: pcxx.ActualSize}, cy.Factory(size))
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := sim.Simulate(basePt, baseCfg)
+	base, err := comp.Extrapolate(context.Background(), baseCfg)
 	if err != nil {
 		return nil, err
 	}
+	baseRes := base.Result
 
 	sens := report.Table{
 		Title:   "Barrier parameter sensitivity (cyclic microworkload, ×4 each)",
@@ -79,11 +81,11 @@ func runTable1(opts Options) (*Output, error) {
 	err = r.each(len(variants), func(i int) error {
 		cfg := baseCfg
 		variants[i].mutate(&cfg.Barrier)
-		res, err := sim.Simulate(basePt, cfg)
+		pred, err := comp.Extrapolate(context.Background(), cfg)
 		if err != nil {
 			return err
 		}
-		results[i] = res
+		results[i] = pred.Result
 		return nil
 	})
 	if err != nil {

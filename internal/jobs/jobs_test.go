@@ -30,7 +30,7 @@ func newTestManager(t *testing.T, dir string) (*Manager, *store.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	m, err := Open(Config{
 		Dir:     filepath.Join(dir, "jobs"),
@@ -82,7 +82,7 @@ func syncPoints(t *testing.T, spec Spec) []metrics.Point {
 	}
 	sz := b.DefaultSize()
 	sz.N, sz.Iters, sz.Verify = spec.Size, spec.Iters, false
-	svc := experiments.NewService(2, 64)
+	svc := experiments.NewService(2, 64, 0)
 	points, err := svc.Sweep(context.Background(), experiments.SweepJob{
 		Name:    b.Name(),
 		Size:    sz,
@@ -154,7 +154,7 @@ func TestCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := experiments.NewStreamingService(1, 64, 0)
+	svc := experiments.NewService(1, 64, 0)
 	svc.SetBackend(st)
 
 	// Freeze the job after its second cell completes: cells run
@@ -205,7 +205,7 @@ func TestCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	svc2 := experiments.NewStreamingService(1, 64, 0)
+	svc2 := experiments.NewService(1, 64, 0)
 	svc2.SetBackend(st2)
 	m2, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc2, Store: st2, Workers: 1})
 	if err != nil {
@@ -319,7 +319,7 @@ func TestDoneJobSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	m1, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {

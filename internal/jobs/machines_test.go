@@ -58,7 +58,7 @@ func TestMultiMachineJobBatchedMatchesPerMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	svc := experiments.NewStreamingService(2, 64, 0)
+	svc := experiments.NewService(2, 64, 0)
 	svc.SetBackend(st)
 	m, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := experiments.NewStreamingService(1, 64, 0)
+	svc := experiments.NewService(1, 64, 0)
 	svc.SetBackend(st)
 	m1, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestMultiMachineCrashResumeBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	svc2 := experiments.NewStreamingService(1, 64, 0)
+	svc2 := experiments.NewService(1, 64, 0)
 	svc2.SetBackend(st2)
 	m2, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc2, Store: st2, Workers: 1})
 	if err != nil {
@@ -181,5 +181,48 @@ func TestSubmitRejectsMachineAndMachines(t *testing.T) {
 		if _, err := m.Submit(sp); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", sp)
 		}
+	}
+}
+
+// TestLocalJobsCompileEachMeasurementOnce: without a Dispatch runner,
+// every machine's cell at a ladder point replays one compile of the
+// point's measurement — for an exact job and for a fitted one's anchors
+// alike — so compiles equal measurements taken.
+func TestLocalJobsCompileEachMeasurementOnce(t *testing.T) {
+	for _, mode := range []string{ModeExact, ModeFitted} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(filepath.Join(dir, "store"), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			svc := experiments.NewService(2, 64, 0)
+			svc.SetBackend(st)
+			m, err := Open(Config{Dir: filepath.Join(dir, "jobs"), Service: svc, Store: st, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+
+			spec := multiSpec()
+			spec.Mode = mode
+			if mode == ModeFitted {
+				spec.Procs = []int{1, 2, 3, 4, 5, 6, 7, 8}
+			}
+			id, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, m, id, StatusDone)
+			_, measured := svc.CacheStats()
+			cs := svc.CompiledStats()
+			if measured == 0 || cs.Misses != measured {
+				t.Errorf("compiled %d times for %d measurements (%+v)", cs.Misses, measured, cs)
+			}
+			if cs.Hits == 0 {
+				t.Error("no machine's cell reused a compiled measurement")
+			}
+		})
 	}
 }

@@ -24,7 +24,7 @@ type metricsSet struct {
 	rejected    *expvar.Int // requests shed by the in-flight limiter
 	inflight    *expvar.Int // compute requests currently holding a slot
 	latencyUs   *expvar.Int // cumulative handler wall time, µs
-	cacheHits   *expvar.Int // trace-cache lookups served from memory
+	cacheHits   *expvar.Int // trace-cache lookups that found the measurement taken (memory or store)
 	cacheMisses *expvar.Int // measurement runs performed
 
 	jobsSubmitted *expvar.Int // jobs accepted via POST /v1/jobs
@@ -35,6 +35,7 @@ type metricsSet struct {
 	fittedVars    *expvar.Map // fitted-sweep counters (runs, iterations, anchors, fitted cells)
 	composeVars   *expvar.Map // workload-DSL counters (specs parsed, programs synthesized, cache hits)
 	simVars       *expvar.Map // replay fast-forward counters (attempts, fast_forwards, iterations_skipped, fallbacks)
+	compiledVars  *expvar.Map // trace cache's compiled tier (hits, misses = compiles, resident bytes and entries)
 }
 
 func newMetricsSet() *metricsSet {
@@ -54,6 +55,7 @@ func newMetricsSet() *metricsSet {
 		fittedVars:    new(expvar.Map).Init(),
 		composeVars:   new(expvar.Map).Init(),
 		simVars:       new(expvar.Map).Init(),
+		compiledVars:  new(expvar.Map).Init(),
 	}
 }
 
@@ -120,6 +122,13 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	setInt(rv, "iterations_skipped", int64(rc.IterationsSkipped))
 	setInt(rv, "fallbacks", int64(rc.Fallbacks))
 	root.Set("sim", rv)
+	ts := s.svc.CompiledStats()
+	tv := s.met.compiledVars
+	setInt(tv, "hits", ts.Hits)
+	setInt(tv, "misses", ts.Misses)
+	setInt(tv, "bytes", ts.Bytes)
+	setInt(tv, "entries", ts.Entries)
+	root.Set("compiled", tv)
 	if s.store != nil {
 		st := s.store.Stats()
 		sv := s.met.storeVars

@@ -44,7 +44,6 @@ import (
 	"extrap/internal/model"
 	"extrap/internal/pcxx"
 	"extrap/internal/store"
-	"extrap/internal/trace"
 	"extrap/internal/vtime"
 )
 
@@ -84,9 +83,10 @@ type Config struct {
 	// is rejected with 413 trace_too_large (and the rejection is
 	// memoized — the measurement is deterministic, so it would exceed
 	// the budget every time). Cached measurements are held as compact
-	// XTRP2 bytes and predictions stream through bounded cursors,
-	// so this budget, times CacheEntries, bounds cache memory. 0 selects
-	// the default of 256 MiB; < 0 disables the budget.
+	// XTRP2 bytes, so this budget, times CacheEntries, bounds the byte
+	// tier; compiled traces sit in a separate hot set bounded by
+	// core.CompiledBudget. 0 selects the default of 256 MiB; < 0
+	// disables the budget.
 	MaxTraceBytes int64
 	// StoreDir, when non-empty, roots the durable artifact store:
 	// measurement traces and job cell results persist there (content-
@@ -191,14 +191,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg,
-		svc: experiments.NewStreamingService(cfg.Workers, cfg.CacheEntries, cfg.MaxTraceBytes),
+		svc: experiments.NewService(cfg.Workers, cfg.CacheEntries, cfg.MaxTraceBytes),
 		lim: newLimiter(cfg.MaxInFlight, cfg.QueueWait),
 		met: newMetricsSet(),
 		log: logger,
 	}
-	// Cached measurements are XTRP2 bytes, replayed as compiled pattern
-	// programs with steady-state fast-forward.
-	s.svc.SetTraceFormat(trace.FormatXTRP2)
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreBytes)
 		if err != nil {

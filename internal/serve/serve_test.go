@@ -249,6 +249,43 @@ func TestLimiterQueueing(t *testing.T) {
 	l.release()
 }
 
+// TestDebugVarsCompiledSubmap: the compiled submap reports the trace
+// cache's compiled tier — one compile serving repeated requests for a
+// measurement, and the bytes it keeps resident — next to an unchanged
+// cache_hits/cache_misses pair.
+func TestDebugVarsCompiledSubmap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{extrapBody("grid", 4, "cm5"), extrapBody("grid", 4, "ideal"), extrapBody("cyclic", 4, "cm5")} {
+		if status, b := post(t, ts.URL+"/v1/extrapolate", body); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, b)
+		}
+	}
+	_, varsBody := get(t, ts.URL+"/debug/vars")
+	var vars struct {
+		ExtrapServe struct {
+			CacheHits   int64            `json:"cache_hits"`
+			CacheMisses int64            `json:"cache_misses"`
+			Compiled    map[string]int64 `json:"compiled"`
+		} `json:"extrap_serve"`
+	}
+	if err := json.Unmarshal([]byte(varsBody), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, varsBody)
+	}
+	es := vars.ExtrapServe
+	if es.CacheHits != 1 || es.CacheMisses != 2 {
+		t.Errorf("cache_hits/cache_misses = %d/%d, want 1/2", es.CacheHits, es.CacheMisses)
+	}
+	want := map[string]int64{"hits": 1, "misses": 2, "entries": 2}
+	for k, v := range want {
+		if es.Compiled[k] != v {
+			t.Errorf("compiled.%s = %d, want %d", k, es.Compiled[k], v)
+		}
+	}
+	if len(es.Compiled) != 4 || es.Compiled["bytes"] <= 0 {
+		t.Errorf("compiled submap = %v, want hits, misses, entries and positive bytes", es.Compiled)
+	}
+}
+
 // TestDebugVarsExportsCacheHits: repeated identical requests must show
 // non-zero cache_hits at /debug/vars, plus request/status counters.
 func TestDebugVarsExportsCacheHits(t *testing.T) {

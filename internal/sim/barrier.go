@@ -31,7 +31,8 @@ type barSt struct {
 // bar returns the state record for barrier id from the dense slice,
 // initializing it on first touch. Barrier ids are dense and increasing
 // (trace validation enforces this), so the slice is normally sized once
-// from ParallelTrace.Barriers; growth only happens for hand-built traces.
+// from the barrier count of a ParallelTrace or a source that knows it;
+// growth only happens for streamed or hand-built traces.
 // Callers never hold a *barSt across another bar call (nested calls reach
 // only already-created ids), so append-driven reallocation is safe.
 func (e *engine) bar(id int64) *barSt {

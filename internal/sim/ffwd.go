@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"extrap/internal/sim/network"
@@ -144,6 +144,7 @@ type ffState struct {
 
 	fpA, fpB trace.ReplayFingerprint
 	deltas   trace.ReplayDeltas
+	scratch  fpScratch
 
 	lastIters uint64 // iteration count at the last observation
 	haveSnap  bool
@@ -152,6 +153,29 @@ type ffState struct {
 	snapOp    int    // repeat-op instance fpA belongs to
 	fails     int
 	abandoned bool
+}
+
+// CanFastForward reports whether pattern replay of ct can ever attempt
+// a fast-forward. An attempt compares two snapshots of one repeat op
+// taken at least ffStride(bodyLen) iterations apart, each with
+// ffMinRepLeft or more iterations still owed, so it needs an op of
+// ffMinRepLeft + ffStride(bodyLen) iterations whose body passes the
+// shiftable-body check (any body, with the check off). Replaying a
+// trace for which it is false attempts nothing, so any exact replay of
+// its events predicts, and counts, the same.
+func CanFastForward(ct *trace.CompiledTrace) bool {
+	return ct.AnyRepeat(func(count uint64, bodyLen int, shiftable bool) bool {
+		return (shiftable || ffGateOff) && count >= ffMinRepLeft+ffStride(bodyLen)
+	})
+}
+
+// ffStride is the fewest iterations between the two snapshots of an
+// attempt on a body of bodyLen rows: enough to span ffSnapSpacing rows.
+func ffStride(bodyLen int) uint64 {
+	if bodyLen >= ffSnapSpacing {
+		return 1
+	}
+	return uint64((ffSnapSpacing + bodyLen - 1) / bodyLen)
 }
 
 // newFFState engages fast-forward when the source pipeline exposes its
@@ -203,10 +227,7 @@ func (ff *ffState) observe(ctx context.Context, e *engine, steps int) (int, erro
 	if ff.abandoned || repLeft < ffMinRepLeft {
 		return steps, nil
 	}
-	stride := uint64(1)
-	if bodyLen < ffSnapSpacing {
-		stride = uint64((ffSnapSpacing + bodyLen - 1) / bodyLen)
-	}
+	stride := ffStride(bodyLen)
 	if !ff.haveSnap {
 		ff.fpA.Reset()
 		if ff.appendAll(e, &ff.fpA) {
@@ -292,11 +313,37 @@ func (ff *ffState) rollSnapshot(it uint64, steps int) {
 // appendAll fingerprints the whole pipeline, decoder → translate →
 // engine, in the fixed traversal order the shift application mirrors.
 func (ff *ffState) appendAll(e *engine, fp *trace.ReplayFingerprint) bool {
+	fp.Grow(max(ff.fpA.Len(), ff.fpB.Len()))
 	ff.cur.AppendFingerprint(fp)
 	if !ff.src.AppendReplayFingerprint(fp) {
 		return false
 	}
-	return e.appendReplayFingerprint(fp)
+	return e.appendReplayFingerprint(fp, &ff.scratch)
+}
+
+// fpScratch is the canonical-order scratch of appendReplayFingerprint,
+// kept by the replay's ffState so its snapshots reuse one allocation.
+type fpScratch struct {
+	order     []int32 // future-event-list indices in (at, seq) order
+	rename    []int64 // msg slab index → canonical name + 1 (0: unnamed)
+	encounter []int32 // msg slab indices in first-encounter order
+}
+
+// visit names message mi on first encounter.
+func (sc *fpScratch) visit(mi int32) {
+	if mi == noMsg || sc.rename[mi] != 0 {
+		return
+	}
+	sc.encounter = append(sc.encounter, mi)
+	sc.rename[mi] = int64(len(sc.encounter))
+}
+
+// rid returns message mi's canonical name (-1 for noMsg).
+func (sc *fpScratch) rid(mi int32) int64 {
+	if mi == noMsg {
+		return -1
+	}
+	return sc.rename[mi] - 1
 }
 
 // --- engine fingerprint -----------------------------------------------------
@@ -319,7 +366,7 @@ func (ff *ffState) appendAll(e *engine, fp *trace.ReplayFingerprint) bool {
 // heap layout or slab naming are behaviorally identical, and the shift
 // application is order- and name-independent, so skipping from such a
 // state is exact.
-func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
+func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint, sc *fpScratch) bool {
 	if e.fail != nil || e.out != nil {
 		return false
 	}
@@ -327,47 +374,35 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 
 	// Canonical FEL order and msg-handle renaming, computed up front so
 	// every section (service queues included) uses the same naming.
-	order := make([]int32, len(e.fel.q))
-	for i := range order {
-		order[i] = int32(i)
+	order := sc.order[:0]
+	for i := range e.fel.q {
+		order = append(order, int32(i))
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &e.fel.q[order[i]], &e.fel.q[order[j]]
+	q := e.fel.q
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &q[i], &q[j]
 		if a.at != b.at {
-			return a.at < b.at
+			return cmp.Compare(a.at, b.at)
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
-	rename := make(map[int32]int64)
-	var encounter []int32
-	visit := func(mi int32) {
-		if mi == noMsg {
-			return
-		}
-		if _, ok := rename[mi]; !ok {
-			rename[mi] = int64(len(encounter))
-			encounter = append(encounter, mi)
-		}
-	}
+	sc.order = order
+	sc.rename = slices.Grow(sc.rename[:0], e.msgs.used)[:e.msgs.used]
+	clear(sc.rename)
+	sc.encounter = sc.encounter[:0]
 	for _, qi := range order {
-		visit(e.fel.q[qi].msg)
+		sc.visit(e.fel.q[qi].msg)
 	}
 	if e.fel.topOK {
-		visit(e.fel.top.msg)
+		sc.visit(e.fel.top.msg)
 	}
 	if e.contOK {
-		visit(e.cont.msg)
+		sc.visit(e.cont.msg)
 	}
 	for i := range e.procs {
 		for _, mi := range e.procs[i].svcQueue {
-			visit(mi)
+			sc.visit(mi)
 		}
-	}
-	rid := func(mi int32) int64 {
-		if mi == noMsg {
-			return -1
-		}
-		return rename[mi]
 	}
 	fp.Push(trace.FPSim, int64(now))
 	fp.Push(trace.FPExact, int64(e.done))
@@ -434,7 +469,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 		}
 		fp.Push(trace.FPExact, int64(len(p.svcQueue)))
 		for _, mi := range p.svcQueue {
-			fp.Push(trace.FPExact, rid(mi))
+			fp.Push(trace.FPExact, sc.rid(mi))
 		}
 		if p.svcBusyUntil > now {
 			fp.Push(trace.FPSim, int64(p.svcBusyUntil))
@@ -444,11 +479,11 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	}
 	fp.Push(trace.FPExact, int64(len(e.fel.q)))
 	for _, qi := range order {
-		e.pushFelEvent(fp, &e.fel.q[qi], rid)
+		e.pushFelEvent(fp, &e.fel.q[qi], sc)
 	}
 	fp.PushBool(e.fel.topOK)
 	if e.fel.topOK {
-		e.pushFelEvent(fp, &e.fel.top, rid)
+		e.pushFelEvent(fp, &e.fel.top, sc)
 	} else {
 		for s := 0; s < 6; s++ {
 			fp.Push(trace.FPExact, 0)
@@ -456,7 +491,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	}
 	fp.PushBool(e.contOK)
 	if e.contOK {
-		e.pushFelEvent(fp, &e.cont, rid)
+		e.pushFelEvent(fp, &e.cont, sc)
 	} else {
 		for s := 0; s < 6; s++ {
 			fp.Push(trace.FPExact, 0)
@@ -473,7 +508,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 	}
 	fp.Push(trace.FPExact, int64(e.msgs.used))
 	fp.Push(trace.FPExact, int64(len(e.msgs.free)))
-	for _, mi := range encounter {
+	for _, mi := range sc.encounter {
 		m := e.msgs.at(mi)
 		fp.Push(trace.FPExact, int64(m.kind))
 		fp.Push(trace.FPExact, int64(m.src))
@@ -500,7 +535,7 @@ func (e *engine) appendReplayFingerprint(fp *trace.ReplayFingerprint) bool {
 // shifted): a skip leaves relative order and gen-validity untouched,
 // which is all the engine ever reads. The msg handle is pushed under
 // its canonical rename (see appendReplayFingerprint).
-func (e *engine) pushFelEvent(fp *trace.ReplayFingerprint, ev *event, rid func(int32) int64) {
+func (e *engine) pushFelEvent(fp *trace.ReplayFingerprint, ev *event, sc *fpScratch) {
 	fp.Push(trace.FPSim, int64(ev.at))
 	fp.Push(trace.FPExact, int64(ev.seq)-int64(e.fel.nextSq))
 	if ev.kind == evMsgArrive {
@@ -509,7 +544,7 @@ func (e *engine) pushFelEvent(fp *trace.ReplayFingerprint, ev *event, rid func(i
 		fp.Push(trace.FPExact, int64(ev.gen)-int64(e.threads[ev.thread].gen))
 	}
 	fp.Push(trace.FPExact, int64(ev.thread))
-	fp.Push(trace.FPExact, rid(ev.msg))
+	fp.Push(trace.FPExact, sc.rid(ev.msg))
 	fp.Push(trace.FPExact, int64(ev.kind))
 }
 

@@ -185,10 +185,3 @@ func (f *fel) pop() event {
 }
 
 func (f *fel) empty() bool { return !f.topOK && len(f.q) == 0 }
-
-// reset prepares the list for another run, retaining the backing array.
-func (f *fel) reset() {
-	f.q = f.q[:0]
-	f.topOK = false
-	f.nextSq = 0
-}

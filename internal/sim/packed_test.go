@@ -14,10 +14,10 @@ import (
 	"extrap/internal/vtime"
 )
 
-// randomWorkload builds a measured-and-translated trace with rng-chosen
-// imbalance, remote traffic, and barrier count, so arena reuse is
+// randomWorkload builds a measured trace with rng-chosen imbalance,
+// remote traffic, and barrier count, and its translation, so replay is
 // exercised over many workload shapes rather than one.
-func randomWorkload(t *testing.T, rng *rand.Rand, n int) *translate.ParallelTrace {
+func randomWorkload(t *testing.T, rng *rand.Rand, n int) (*trace.Trace, *translate.ParallelTrace) {
 	t.Helper()
 	iters := 1 + rng.Intn(4)
 	readEvery := 1 + rng.Intn(3)
@@ -45,7 +45,7 @@ func randomWorkload(t *testing.T, rng *rand.Rand, n int) *translate.ParallelTrac
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pt
+	return tr, pt
 }
 
 // randomConfig draws one machine model spanning the engine's feature
@@ -138,32 +138,36 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// TestArenaReuseAcrossHeterogeneousRuns reuses ONE arena across
-// different workloads and models interleaved — the runner's sequential
-// reuse pattern — and demands bit-identical results to fresh
-// allocation every time.
-func TestArenaReuseAcrossHeterogeneousRuns(t *testing.T) {
+// TestPackedReplayAcrossHeterogeneousRuns replays ONE packed
+// translation per workload under several models — the trace cache's
+// reuse pattern — interleaving workloads, and demands bit-identical
+// results to simulating the materialized translation every time.
+func TestPackedReplayAcrossHeterogeneousRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type cell struct {
 		pt  *translate.ParallelTrace
+		pk  *translate.Packed
 		cfg Config
 	}
 	var cells []cell
 	for _, n := range []int{4, 2, 8, 4} {
-		pt := randomWorkload(t, rng, n)
+		tr, pt := randomWorkload(t, rng, n)
+		pk, err := translate.Pack(context.Background(), tr.Header(), tr.Reader())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := 0; k < 3; k++ {
-			cells = append(cells, cell{pt, randomConfig(rng, n)})
+			cells = append(cells, cell{pt, pk, randomConfig(rng, n)})
 		}
 	}
-	a := NewArena()
 	for i, c := range cells {
 		want, err := Simulate(c.pt, c.cfg)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		got, err := SimulateArenaContext(context.Background(), a, c.pt, c.cfg)
+		got, err := SimulateStreamContext(context.Background(), c.pk.Replay(), c.cfg)
 		if err != nil {
-			t.Fatalf("cell %d (arena): %v", i, err)
+			t.Fatalf("cell %d (packed): %v", i, err)
 		}
 		assertSameResult(t, "cell "+itoa(i), want, got)
 	}

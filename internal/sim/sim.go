@@ -38,8 +38,7 @@ type message struct {
 // write barriers. A message's slot is recycled once its handling
 // completes (the engine releases it at each end-of-life point), so the
 // slab's footprint tracks the in-flight message population, not the
-// total message count of the run; blocks already allocated are retained
-// across resets for arena reuse. Slot reuse cannot perturb results:
+// total message count of the run. Slot reuse cannot perturb results:
 // indices are bookkeeping only — event ordering is by (at, seq), which
 // never reads them.
 const msgSlabSize = 256
@@ -63,8 +62,8 @@ func (s *msgSlab) new(kind msgKind, src, dst int, bytes, barrier int64) int32 {
 		s.used++
 	}
 	m := &s.blocks[idx/msgSlabSize][idx%msgSlabSize]
-	// Full overwrite: slots are reused within and across runs, so every
-	// field — delivered included — must be set, not assumed zero.
+	// Full overwrite: slots are reused within a run, so every field —
+	// delivered included — must be set, not assumed zero.
 	*m = message{kind: kind, src: src, dst: dst, bytes: bytes, barrier: barrier}
 	return int32(idx)
 }
@@ -79,12 +78,6 @@ func (s *msgSlab) release(i int32) { s.free = append(s.free, i) }
 // messages).
 func (s *msgSlab) at(i int32) *message {
 	return &s.blocks[int(i)/msgSlabSize][int(i)%msgSlabSize]
-}
-
-// reset forgets all handed-out messages, keeping the blocks for reuse.
-func (s *msgSlab) reset() {
-	s.used = 0
-	s.free = s.free[:0]
 }
 
 // tstate is a simulated thread's execution state.
@@ -200,89 +193,6 @@ type engine struct {
 	contOK bool
 }
 
-// Arena holds the dense simulator state — thread and processor records,
-// the future event list, barrier slots, and the message slab — so
-// repeated simulations (sequential sweep cells) reuse the same
-// allocations instead of rebuilding ~0.5 MB of state per run.
-// Every record is fully reinitialized when acquired, so results are
-// bit-identical to a fresh engine. An Arena is not safe for concurrent
-// use; share one per goroutine.
-type Arena struct {
-	threads []thr
-	procs   []prc
-	bars    []barSt
-	felq    []event
-	msgs    msgSlab
-}
-
-// NewArena returns an empty arena; state is allocated on first use and
-// grown as needed.
-func NewArena() *Arena { return &Arena{} }
-
-// acquire attaches the arena's recycled state to e, reinitializing
-// everything a fresh engine would have zero. Inner slices owned by
-// retained records (per-processor queues, tree-barrier tables) are kept
-// and re-zeroed where they are re-armed (see prc setup and bar()).
-func (a *Arena) acquire(e *engine, n, nprocs, barriersHint int) {
-	if cap(a.threads) < n {
-		a.threads = make([]thr, n)
-	}
-	e.threads = a.threads[:n]
-	for i := range e.threads {
-		e.threads[i] = thr{}
-	}
-	if cap(a.procs) < nprocs {
-		a.procs = make([]prc, nprocs)
-	}
-	e.procs = a.procs[:nprocs]
-	for i := range e.procs {
-		p := &e.procs[i]
-		*p = prc{
-			threads:  p.threads[:0],
-			runq:     p.runq[:0],
-			svcQueue: p.svcQueue[:0],
-		}
-	}
-	// Barrier slots keep their tree tables (reset lazily in bar()) but
-	// drop all per-run scalar state, including the used marker.
-	if cap(a.bars) < barriersHint {
-		grown := make([]barSt, barriersHint)
-		copy(grown, a.bars)
-		a.bars = grown
-	}
-	e.bars = a.bars[:cap(a.bars)]
-	for i := range e.bars {
-		b := &e.bars[i]
-		*b = barSt{
-			childGot:    b.childGot,
-			nodeEntered: b.nodeEntered,
-			nodeFreeAt:  b.nodeFreeAt,
-			releaseSent: b.releaseSent,
-		}
-	}
-	e.fel.q = a.felq[:0]
-	e.fel.topOK = false
-	e.fel.nextSq = 0
-	a.msgs.reset()
-	e.msgs = a.msgs
-}
-
-// release returns e's (possibly grown) state to the arena.
-func (a *Arena) release(e *engine) {
-	a.threads = e.threads[:cap(e.threads)]
-	a.procs = e.procs[:cap(e.procs)]
-	a.bars = e.bars[:cap(e.bars)]
-	a.felq = e.fel.q[:0]
-	a.msgs = e.msgs
-}
-
-// Reset drops per-run state so the arena can be reused; allocations are
-// retained. Calling Reset is optional — acquire reinitializes
-// everything — but makes the lifecycle explicit for long-held arenas.
-func (a *Arena) Reset() {
-	a.msgs.reset()
-}
-
 // Simulate replays the translated parallel trace against the target
 // environment described by cfg and returns the predicted performance
 // information and metrics. The input trace is read-only: neither the
@@ -306,16 +216,7 @@ const ctxCheckMask = 1<<13 - 1
 // per-request simulation time.
 func SimulateContext(ctx context.Context, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
 	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Barriers, pt.Events(),
-		func(t *thr, i int) { t.evs = pt.Threads[i] }, nil, nil)
-}
-
-// SimulateArenaContext is SimulateContext drawing its dense state from
-// a — reusing the thread/processor/barrier tables, event list, and
-// message slab across runs so repeated simulations of sweep cells
-// allocate almost nothing. Results are bit-identical to Simulate.
-func SimulateArenaContext(ctx context.Context, a *Arena, pt *translate.ParallelTrace, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, pt.NumThreads, pt.Phases, pt.Barriers, pt.Events(),
-		func(t *thr, i int) { t.evs = pt.Threads[i] }, a, nil)
+		func(t *thr, i int) { t.evs = pt.Threads[i] }, nil)
 }
 
 // Source provides translated per-thread event cursors to a streaming
@@ -330,25 +231,30 @@ type Source interface {
 
 // SimulateStreamContext runs the simulation over streaming per-thread
 // cursors instead of a materialized ParallelTrace, so peak memory is
-// bounded by the source's buffering rather than the trace size. Results
+// bounded by the source's buffering rather than the trace size. A
+// source that knows its barrier count up front (a Barriers() int
+// method) sizes the barrier table once. Results
 // are byte-identical to Simulate on the equivalent materialized trace.
 // When the source is a translate stream fed by a compiled (XTRP2)
 // pattern cursor and cfg.Replay is ReplayPattern, the engine
 // fast-forwards provably steady pattern iterations (see ffwd.go);
 // results stay byte-identical to event-by-event replay.
 func SimulateStreamContext(ctx context.Context, src Source, cfg Config) (*Result, error) {
-	return simulate(ctx, cfg, src.NumThreads(), src.Phases(), 0, 0,
-		func(t *thr, i int) { t.src = src.Thread(i) }, nil, src)
+	barriers := 0
+	if b, ok := src.(interface{ Barriers() int }); ok {
+		barriers = b.Barriers()
+	}
+	return simulate(ctx, cfg, src.NumThreads(), src.Phases(), barriers, 0,
+		func(t *thr, i int) { t.src = src.Thread(i) }, src)
 }
 
 // simulate is the engine core shared by the slice and streaming entry
 // points: bind attaches thread i's event cursor (either mode) to its
 // state record. barriersHint/eventsHint pre-size internal tables and may
-// be zero when unknown (streaming). A non-nil arena supplies recycled
-// dense state; nil allocates fresh. A non-nil src (streaming mode only)
+// be zero when unknown (streaming). A non-nil src (streaming mode only)
 // lets the engine engage pattern fast-forward when the source exposes
 // its compiled-trace cursor.
-func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersHint, eventsHint int, bind func(t *thr, i int), arena *Arena, src Source) (*Result, error) {
+func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersHint, eventsHint int, bind func(t *thr, i int), src Source) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -370,19 +276,14 @@ func simulate(ctx context.Context, cfg Config, n int, phases []string, barriersH
 	}
 
 	e := &engine{
-		cfg:    cfg,
-		n:      n,
-		nprocs: nprocs,
+		cfg:     cfg,
+		n:       n,
+		nprocs:  nprocs,
+		bars:    make([]barSt, 0, barriersHint),
+		procs:   make([]prc, nprocs),
+		threads: make([]thr, n),
 	}
-	if arena != nil {
-		arena.acquire(e, n, nprocs, barriersHint)
-		defer arena.release(e)
-	} else {
-		e.bars = make([]barSt, 0, barriersHint)
-		e.fel.q = make([]event, 0, 4*n)
-		e.procs = make([]prc, nprocs)
-		e.threads = make([]thr, n)
-	}
+	e.fel.q = make([]event, 0, 4*n)
 	var err error
 	if e.inter, err = network.New(cfg.Comm, nprocs); err != nil {
 		return nil, err

@@ -85,6 +85,13 @@ type row struct {
 	dTime, dThread, dA0, dA1, dA2 int64
 }
 
+// eq is r == *o, compared field by field in the order rows most often
+// differ, which the miner's inner loops reach without a call.
+func (r *row) eq(o *row) bool {
+	return r.dTime == o.dTime && r.kind == o.kind && r.dThread == o.dThread &&
+		r.dA0 == o.dA0 && r.dA1 == o.dA1 && r.dA2 == o.dA2
+}
+
 // deltaState is the shared encoder/decoder state machine of the delta
 // transform. Arg deltas are tracked per kind so structurally identical
 // loop iterations produce identical rows.
@@ -403,7 +410,6 @@ func minePatterns(rows []row) ([][]row, []progOp) {
 func newMiner(n int) *miner {
 	return &miner{
 		byHash: make(map[uint64][]uint32),
-		seen:   make(map[uint64]occ),
 		runs:   make([]periodRun, min(MaxPatternRows, n)+1),
 	}
 }
@@ -443,7 +449,7 @@ type miner struct {
 	byHash map[uint64][]uint32
 
 	// seen maps a window hash to its occurrences in the current scan.
-	seen map[uint64]occ
+	seen occTable
 	// runs is the per-period memo, indexed by period: the last run
 	// verified for that period, valid while its epoch is current. The
 	// epoch advances at every scan and every acceptance, which is what
@@ -453,8 +459,62 @@ type miner struct {
 }
 
 // occ records the indices just past the first and most recent
-// occurrences of a window hash.
+// occurrences of a window hash. Both are at least minerWindow, so a
+// zero first marks an empty occTable slot.
 type occ struct{ first, last int }
+
+// occTable is the scan's window-hash → occ map: open addressing with
+// linear probing over a power-of-two table kept at most half full, one
+// probe sequence per row instead of a map's lookup and store.
+type occTable struct {
+	keys []uint64
+	occs []occ
+	n    int
+}
+
+// reset empties the table, sized for up to rows insertions but no
+// more than a few thousand: loop traces repeat most windows, so the
+// table grows (see added) only as far as distinct windows need.
+func (t *occTable) reset(rows int) {
+	size := 16
+	for size < 2*rows && size < 1<<12 {
+		size <<= 1
+	}
+	if cap(t.keys) < size {
+		t.keys, t.occs = make([]uint64, size), make([]occ, size)
+	} else {
+		t.keys, t.occs = t.keys[:size], t.occs[:size]
+		clear(t.keys)
+		clear(t.occs)
+	}
+	t.n = 0
+}
+
+// slot returns the slot holding key h, or the empty slot where it
+// belongs (occ.first == 0): the caller fills it and calls added.
+func (t *occTable) slot(h uint64) *occ {
+	mask := uint64(len(t.keys) - 1)
+	for i := (h ^ h>>29) & mask; ; i = (i + 1) & mask {
+		if t.occs[i].first == 0 || t.keys[i] == h {
+			t.keys[i] = h
+			return &t.occs[i]
+		}
+	}
+}
+
+// added records a filled slot, doubling the table past half full.
+func (t *occTable) added() {
+	if t.n++; 2*t.n <= len(t.keys) {
+		return
+	}
+	keys, occs := t.keys, t.occs
+	t.keys, t.occs = make([]uint64, 2*len(keys)), make([]occ, 2*len(keys))
+	for i, o := range occs {
+		if o.first != 0 {
+			*t.slot(keys[i]) = o
+		}
+	}
+}
 
 // periodRun is a verified period-p stretch: rows[k] == rows[k+p] for
 // every k in [start, end), start could not be walked back further, and
@@ -500,12 +560,15 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 	// would never be proposed at all — the first occurrence breaks that
 	// masking: the first time a once-per-iteration window reoccurs, its
 	// distance to the first occurrence is exactly one whole loop period.
-	clear(m.seen)
+	m.seen.reset(hi - lo)
 	m.epoch++
 	lit := lo // start of the pending literal run
 	best := 0 // largest savings of any verified candidate
 	var wh uint64
 	wlen := 0 // rows currently in the rolling window
+	// inWindow[k % minerWindow] holds the hash of window row k, so the
+	// oldest row leaves without being hashed again.
+	var inWindow [minerWindow]uint64
 	const whBase = 0x100000001b3
 	// whPow = whBase^(minerWindow-1), for removing the oldest row.
 	whPow := uint64(1)
@@ -516,21 +579,24 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 	for i := lo; i < hi; i++ {
 		rh := hashRow(&rows[i])
 		if wlen == minerWindow {
-			wh -= hashRow(&rows[i-minerWindow]) * whPow
+			wh -= inWindow[i%minerWindow] * whPow
 		} else {
 			wlen++
 		}
+		inWindow[i%minerWindow] = rh
 		wh = wh*whBase + rh
 		if wlen < minerWindow {
 			continue
 		}
 		end := i + 1 // window covers rows[end-minerWindow : end]
-		o, ok := m.seen[wh]
-		if !ok {
-			m.seen[wh] = occ{first: end, last: end}
+		slot := m.seen.slot(wh)
+		o := *slot
+		if o.first == 0 {
+			*slot = occ{first: end, last: end}
+			m.seen.added()
 			continue
 		}
-		m.seen[wh] = occ{first: o.first, last: end}
+		slot.last = end
 		for _, j := range [2]int{o.last, o.first} {
 			if j >= end {
 				continue
@@ -599,10 +665,10 @@ func (m *miner) scan(rows []row, lo, hi, minSavings int) []progOp {
 // loop is captured instead of left literal, but not below lit; forward
 // to the first row that breaks it, but with no row past hi compared.
 func extendPeriodRun(rows []row, lit, hi, p, start, stop int) (int, int) {
-	for start > lit && rows[start-1] == rows[start-1+p] {
+	for start > lit && rows[start-1].eq(&rows[start-1+p]) {
 		start--
 	}
-	for stop+p < hi && rows[stop] == rows[stop+p] {
+	for stop+p < hi && rows[stop].eq(&rows[stop+p]) {
 		stop++
 	}
 	return start, stop
@@ -725,16 +791,14 @@ func writeBinary2(w io.Writer, t *Trace, mine func([]row) ([][]row, []progOp)) e
 		_, err := bw.Write(vb[:n])
 		return err
 	}
+	var rb [1 + 5*binary.MaxVarintLen64]byte
 	putRow := func(r *row) error {
-		if err := bw.WriteByte(byte(r.kind)); err != nil {
-			return err
-		}
+		b := append(rb[:0], byte(r.kind))
 		for _, v := range [...]int64{r.dTime, r.dThread, r.dA0, r.dA1, r.dA2} {
-			if err := putUvarint(zigzag(v)); err != nil {
-				return err
-			}
+			b = binary.AppendUvarint(b, zigzag(v))
 		}
-		return nil
+		_, err := bw.Write(b)
+		return err
 	}
 	for _, body := range patterns {
 		if err := putUvarint(uint64(len(body))); err != nil {

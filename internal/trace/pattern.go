@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"unsafe"
 )
 
 // Pattern-native replay: the XTRP2 pattern table and replay program as a
@@ -33,11 +35,11 @@ import (
 // table, per-pattern delta sums, and the replay program. It is
 // immutable after CompileBinary and safe to share across any number of
 // concurrently replaying PatternSource cursors — which is how sweeps
-// use it: cells that replay the same measurement under different
-// machine models compile its bytes once and each take their own
-// Source. A compiled trace is several times larger than its XTRP2
-// bytes, so it lives only as long as the sweep that shares it; caches
-// hold the bytes.
+// use it: the trace cache compiles a measurement's bytes once and
+// every replay of it, under any machine model, takes its own Source. A
+// compiled trace is several times larger than its XTRP2 bytes, so the
+// cache keeps the bytes for every measurement and compiled traces only
+// for a heap-byte-budgeted hot set (see core.TraceCache).
 type CompiledTrace struct {
 	hdr      Header
 	declare  uint64
@@ -94,6 +96,23 @@ func (s *bodySums) canMatch() bool {
 	return true
 }
 
+// sumBodies computes the per-pattern delta sums of the table.
+func (ct *CompiledTrace) sumBodies() {
+	ct.sums = make([]bodySums, len(ct.patterns))
+	for i, body := range ct.patterns {
+		s := &ct.sums[i]
+		for j := range body {
+			rw := &body[j]
+			s.dTime += rw.dTime
+			s.dThread += rw.dThread
+			s.dArgs[rw.kind][0] += rw.dA0
+			s.dArgs[rw.kind][1] += rw.dA1
+			s.dArgs[rw.kind][2] += rw.dA2
+		}
+		s.shiftable = s.canMatch()
+	}
+}
+
 // IsXTRP2 reports whether enc begins with the XTRP2 magic.
 func IsXTRP2(enc []byte) bool { return bytes.HasPrefix(enc, binary2Magic[:]) }
 
@@ -119,19 +138,7 @@ func CompileBinary(r io.Reader) (*CompiledTrace, error) {
 		return nil, err
 	}
 	ct := &CompiledTrace{hdr: d.hdr, declare: d.declare, patterns: d.patterns}
-	ct.sums = make([]bodySums, len(ct.patterns))
-	for i, body := range ct.patterns {
-		s := &ct.sums[i]
-		for j := range body {
-			rw := &body[j]
-			s.dTime += rw.dTime
-			s.dThread += rw.dThread
-			s.dArgs[rw.kind][0] += rw.dA0
-			s.dArgs[rw.kind][1] += rw.dA1
-			s.dArgs[rw.kind][2] += rw.dA2
-		}
-		s.shiftable = s.canMatch()
-	}
+	ct.sumBodies()
 
 	produced := uint64(0)
 	for produced < ct.declare {
@@ -199,6 +206,55 @@ func CompileBinary(r io.Reader) (*CompiledTrace, error) {
 	return ct, nil
 }
 
+// EncodeCompiled encodes t as WriteBinary2 does and also returns the
+// encoding's CompiledTrace — what CompileBinary would parse from the
+// bytes, built from the mined table and program instead — if keep
+// accepts it, and nil otherwise. keep sees the program before its rows
+// are copied out of the encoder's buffers, so rejecting a trace costs
+// no copy.
+func EncodeCompiled(t *Trace, keep func(*CompiledTrace) bool) ([]byte, *CompiledTrace, error) {
+	var (
+		rows     []row
+		patterns [][]row
+		ops      []progOp
+	)
+	var buf bytes.Buffer
+	err := writeBinary2(&buf, t, func(r []row) ([][]row, []progOp) {
+		rows = r
+		patterns, ops = minePatterns(r)
+		return patterns, ops
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	hdr := t.Header()
+	hdr.Phases = slices.Clone(hdr.Phases)
+	ct := &CompiledTrace{hdr: hdr, declare: uint64(len(t.Events)), patterns: patterns}
+	ct.sumBodies()
+	for _, op := range ops {
+		if op.literal {
+			ct.prog = append(ct.prog, compiledOp{rows: rows[op.start:op.end]})
+		} else {
+			ct.prog = append(ct.prog, compiledOp{id: op.id, count: op.count})
+		}
+	}
+	if !keep(ct) {
+		return buf.Bytes(), nil, nil
+	}
+	// Pattern bodies and literal runs all slice the encoder's row buffer
+	// of the whole trace; copy them out so a kept trace holds only its
+	// own rows.
+	for i, body := range ct.patterns {
+		ct.patterns[i] = slices.Clone(body)
+	}
+	for i := range ct.prog {
+		if op := &ct.prog[i]; op.rows != nil {
+			op.rows = slices.Clone(op.rows)
+		}
+	}
+	return buf.Bytes(), ct, nil
+}
+
 // Header returns the trace metadata.
 func (ct *CompiledTrace) Header() Header { return ct.hdr }
 
@@ -210,6 +266,33 @@ func (ct *CompiledTrace) Patterns() int { return len(ct.patterns) }
 
 // Ops returns the replay-program op count.
 func (ct *CompiledTrace) Ops() int { return len(ct.prog) }
+
+// AnyRepeat reports whether some repeat op of the program satisfies
+// ok, given its iteration count, its body length in rows, and whether
+// fast-forward can ever skip its body (see canMatch).
+func (ct *CompiledTrace) AnyRepeat(ok func(count uint64, bodyLen int, shiftable bool) bool) bool {
+	for i := range ct.prog {
+		if op := &ct.prog[i]; op.rows == nil && ok(op.count, len(ct.patterns[op.id]), ct.sums[op.id].shiftable) {
+			return true
+		}
+	}
+	return false
+}
+
+// Size estimates the heap bytes the compiled trace holds.
+func (ct *CompiledTrace) Size() int64 {
+	rows := 0
+	for _, body := range ct.patterns {
+		rows += len(body)
+	}
+	for i := range ct.prog {
+		rows += len(ct.prog[i].rows)
+	}
+	return int64(rows)*int64(unsafe.Sizeof(row{})) +
+		int64(len(ct.patterns))*int64(unsafe.Sizeof([]row{})) +
+		int64(len(ct.sums))*int64(unsafe.Sizeof(bodySums{})) +
+		int64(len(ct.prog))*int64(unsafe.Sizeof(compiledOp{}))
+}
 
 // Source returns a fresh replay cursor over the compiled trace.
 func (ct *CompiledTrace) Source() *PatternSource {
@@ -443,6 +526,12 @@ func (f *ReplayFingerprint) Reset() {
 	f.cls = f.cls[:0]
 	f.vals = f.vals[:0]
 	f.max = [fpClassCount]int64{}
+}
+
+// Grow makes room for n more slots without reallocating.
+func (f *ReplayFingerprint) Grow(n int) {
+	f.cls = slices.Grow(f.cls, n)
+	f.vals = slices.Grow(f.vals, n)
 }
 
 // Push appends one slot.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"extrap/internal/vtime"
@@ -57,6 +58,44 @@ func TestPatternSourceMatchesDecoder(t *testing.T) {
 			}
 			if hdr := ps.Header(); hdr.NumThreads != want.NumThreads {
 				t.Fatalf("header threads = %d, want %d", hdr.NumThreads, want.NumThreads)
+			}
+		})
+	}
+}
+
+// TestEncodeCompiledMatchesCompileBinary: the compiled trace built from
+// the miner's output is the one CompileBinary parses back from the
+// bytes, and the bytes are WriteBinary2's — whether or not keep takes
+// the compiled trace.
+func TestEncodeCompiledMatchesCompileBinary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+	}{
+		{"loop", makeLoopTrace(4, 30)},
+		{"random", makeRandomTrace(500)},
+		{"barrier", makeBarrierTrace(4, 2)},
+		{"empty", New(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.tr.Phases = []string{"init", "solve"}
+			enc, got, err := EncodeCompiled(tc.tr, func(*CompiledTrace) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := encode2(t, tc.tr); !bytes.Equal(enc, want) {
+				t.Fatal("EncodeCompiled bytes differ from WriteBinary2's")
+			}
+			want, err := CompileBinary(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("compiled traces differ:\n got %+v\nwant %+v", got, want)
+			}
+			enc2, none, err := EncodeCompiled(tc.tr, func(*CompiledTrace) bool { return false })
+			if err != nil || none != nil || !bytes.Equal(enc2, enc) {
+				t.Errorf("rejected compile: err %v, trace %v, same bytes %v", err, none, bytes.Equal(enc2, enc))
 			}
 		})
 	}

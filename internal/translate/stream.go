@@ -40,8 +40,10 @@ type Stream struct {
 	overhead vtime.Time
 	phases   []string
 	src      trace.Reader
+	cursors  []threadCursor
 
 	queues     []eventQueue
+	last       int // thread of the event pull queued last
 	pending    int
 	maxPending int
 	srcDone    bool
@@ -70,11 +72,12 @@ func NewStream(hdr trace.Header, src trace.Reader, opts StreamOptions) (*Stream,
 		return nil, fmt.Errorf("translate: NumThreads = %d, want > 0", hdr.NumThreads)
 	}
 	n := hdr.NumThreads
-	return &Stream{
+	s := &Stream{
 		n:           n,
 		overhead:    hdr.EventOverhead,
 		phases:      hdr.Phases,
 		src:         src,
+		cursors:     make([]threadCursor, n),
 		queues:      make([]eventQueue, n),
 		maxPending:  opts.MaxPending,
 		nextBarrier: make([]int64, n),
@@ -83,7 +86,11 @@ func NewStream(hdr trace.Header, src trace.Reader, opts StreamOptions) (*Stream,
 		lastOrig:       make([]vtime.Time, n),
 		lastTranslated: make([]vtime.Time, n),
 		started:        make([]bool, n),
-	}, nil
+	}
+	for i := range s.cursors {
+		s.cursors[i] = threadCursor{s: s, id: i}
+	}
+	return s, nil
 }
 
 // NumThreads returns n.
@@ -92,8 +99,9 @@ func (s *Stream) NumThreads() int { return s.n }
 // Phases returns the phase-name table carried over from the source.
 func (s *Stream) Phases() []string { return s.phases }
 
-// Thread returns the translated event cursor for thread i.
-func (s *Stream) Thread(i int) trace.Reader { return &threadCursor{s: s, id: i} }
+// Thread returns the translated event cursor for thread i; every call
+// for one thread returns the same cursor.
+func (s *Stream) Thread(i int) trace.Reader { return &s.cursors[i] }
 
 // Barriers reports the number of global barriers seen so far; it is the
 // program's total once the stream is drained.
@@ -257,6 +265,7 @@ func (s *Stream) pull() {
 
 	e.Time = tNew
 	s.queues[th].push(e)
+	s.last = th
 	s.pending++
 	if s.maxPending > 0 && s.pending > s.maxPending {
 		s.err = fmt.Errorf("translate: %d translated events buffered, cap %d — consumer skew exceeds the stream buffer", s.pending, s.maxPending)

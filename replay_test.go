@@ -109,9 +109,10 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 }
 
 // TestReplayEquivalenceBatch asserts a multi-config batch sharing one
-// compile of the trace honors the replay mode uniformly: each config
-// replayed in pattern mode over the shared compiled trace equals the
-// same config replayed in event mode, cell for cell.
+// compile of the trace (core.Compile, as the trace cache shares it)
+// predicts what the event-replay oracle does: each config replayed in
+// pattern mode over the shared compiled trace equals the same config
+// replayed event by event from the bytes, cell for cell.
 func TestReplayEquivalenceBatch(t *testing.T) {
 	enc := encodeKernel(t, "grid", benchmarks.Size{N: 16, Iters: 20}, 8)
 	a := machine.GenericDM().Config
@@ -119,18 +120,18 @@ func TestReplayEquivalenceBatch(t *testing.T) {
 	b.MipsRatio = 2.0
 	c := a
 	c.Barrier.Algorithm = sim.TreeBarrier
-	ct, err := core.CompileEncoded(enc)
+	ct, err := core.Compile(context.Background(), enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range []sim.Config{a, b, c} {
 		cfg.Replay = sim.ReplayEvent
-		want, err := core.ExtrapolateCompiled(context.Background(), enc, ct, cfg)
+		want, err := core.ExtrapolateEncoded(context.Background(), enc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Replay = sim.ReplayPattern
-		got, err := core.ExtrapolateCompiled(context.Background(), enc, ct, cfg)
+		got, err := ct.Extrapolate(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,6 +361,82 @@ func TestSkipGateLossless(t *testing.T) {
 	t.Logf("attempts: %d with the check, %d without; %d iterations skipped either way", attemptsOn, attemptsOff, skipped)
 	if skipped == 0 {
 		t.Error("no fast-forward engaged anywhere: the comparison proves nothing")
+	}
+}
+
+// TestCompiledKeepsFastForward: core.Compile keeps the pattern program
+// only for traces whose replay can attempt a fast-forward and packs the
+// translation of every other trace. Over every suite kernel and compose
+// preset at default size on the default ladder, replaying the compiled
+// form must predict, and count fast-forward attempts, skips and skipped
+// iterations, exactly as streaming pattern replay of the bytes does —
+// so the packed form never costs a fast-forward.
+func TestCompiledKeepsFastForward(t *testing.T) {
+	type program struct {
+		name    string
+		factory core.ProgramFactory
+	}
+	var progs []program
+	for _, b := range benchmarks.Suite() {
+		progs = append(progs, program{b.Name(), b.Factory(b.DefaultSize())})
+	}
+	for _, p := range compose.Presets() {
+		progs = append(progs, program{p.Name(), p.Factory(p.DefaultSize())})
+	}
+	ctx := context.Background()
+	replay := func(t *testing.T, run func() (*core.Prediction, error)) (*core.Prediction, sim.ReplayCounters) {
+		t.Helper()
+		before := sim.ReadReplayCounters()
+		pred, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := sim.ReadReplayCounters()
+		return pred, sim.ReplayCounters{
+			Attempts:          after.Attempts - before.Attempts,
+			FastForwards:      after.FastForwards - before.FastForwards,
+			IterationsSkipped: after.IterationsSkipped - before.IterationsSkipped,
+			Fallbacks:         after.Fallbacks - before.Fallbacks,
+		}
+	}
+	var packed, patterns int
+	for _, p := range progs {
+		for _, threads := range core.DefaultProcCounts() {
+			tr, err := core.Measure(p.factory(threads), core.MeasureOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteBinary2(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			comp, err := core.Compile(ctx, buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := trace.CompileBinary(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sim.CanFastForward(ct) {
+				patterns++
+			} else {
+				packed++
+			}
+			cfg := machine.GenericDM().Config
+			want, wc := replay(t, func() (*core.Prediction, error) { return core.ExtrapolateEncoded(ctx, buf.Bytes(), cfg) })
+			got, gc := replay(t, func() (*core.Prediction, error) { return comp.Extrapolate(ctx, cfg) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d: compiled replay predicts differently from streaming pattern replay", p.name, threads)
+			}
+			if gc != wc {
+				t.Errorf("%s/%d: compiled replay counted %+v, streaming pattern replay %+v", p.name, threads, gc, wc)
+			}
+		}
+	}
+	t.Logf("%d traces packed, %d kept as pattern programs", packed, patterns)
+	if packed == 0 || patterns == 0 {
+		t.Error("the sweep exercised only one compiled form")
 	}
 }
 

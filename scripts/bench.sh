@@ -14,7 +14,7 @@
 # profiles alongside the snapshots.
 set -e
 
-PATTERN="${BENCH_PATTERN:-BenchmarkMeasurement\$|BenchmarkSimulation\$|BenchmarkSimulationArena\$|BenchmarkSweepBatch\$|BenchmarkSweepFitted\$|BenchmarkTranslateStream\$|BenchmarkFullPipeline\$|BenchmarkTraceCodec|BenchmarkFig7MgridStartup\$|BenchmarkStoreRoundTrip\$|BenchmarkPatternReplay}"
+PATTERN="${BENCH_PATTERN:-BenchmarkMeasurement\$|BenchmarkSimulation\$|BenchmarkSweepBatch\$|BenchmarkSweepFitted\$|BenchmarkTranslateStream\$|BenchmarkCompile\$|BenchmarkFullPipeline\$|BenchmarkTraceCodec|BenchmarkFig7MgridStartup\$|BenchmarkStoreRoundTrip\$|BenchmarkPatternReplay}"
 TIME="${BENCHTIME:-1s}"
 # The streaming-pipeline benchmark takes hundreds of ms per iteration,
 # so a time budget yields low single-digit iteration counts and noisy
